@@ -143,12 +143,10 @@ func benchSelect(b *testing.B, n int, pick func(scores []float64, k int) []int) 
 	}
 }
 
-func BenchmarkSelectSort10k(b *testing.B)         { benchSelect(b, 10_000, rank.TopK) }
-func BenchmarkSelectQuickselect10k(b *testing.B)  { benchSelect(b, 10_000, rank.TopKQuickselect) }
-func BenchmarkSelectHeap10k(b *testing.B)         { benchSelect(b, 10_000, rank.TopKHeap) }
-func BenchmarkSelectSort100k(b *testing.B)        { benchSelect(b, 100_000, rank.TopK) }
-func BenchmarkSelectQuickselect100k(b *testing.B) { benchSelect(b, 100_000, rank.TopKQuickselect) }
-func BenchmarkSelectHeap100k(b *testing.B)        { benchSelect(b, 100_000, rank.TopKHeap) }
+func BenchmarkSelectSort10k(b *testing.B)  { benchSelect(b, 10_000, rank.TopK) }
+func BenchmarkSelectHeap10k(b *testing.B)  { benchSelect(b, 10_000, rank.TopKHeap) }
+func BenchmarkSelectSort100k(b *testing.B) { benchSelect(b, 100_000, rank.TopK) }
+func BenchmarkSelectHeap100k(b *testing.B) { benchSelect(b, 100_000, rank.TopKHeap) }
 
 // Objective evaluation cost per DCA step (sample of 500, k=5%).
 

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"fairrank/internal/engine"
-	"fairrank/internal/faultinject"
 	"fairrank/internal/metrics"
 	"fairrank/internal/rank"
 )
@@ -22,11 +21,11 @@ import (
 // queries behind one window and this pass answers them all.
 //
 // Every answer is bit-identical to the corresponding per-request
-// evaluator (the sweep engines, CounterfactualBatch, BundleStats): the
-// prefix aggregates resume the same left-to-right folds over the same
-// total order — a fold's value at a cut does not depend on which other
-// cuts share the grid — and the counterfactual and bundle finishers are
-// the same functions the per-request paths call. The batching-equivalence
+// evaluator (Sweep, CounterfactualBatch, BundleStats): the metric queries
+// run the same fold table over the same total order — a fold's value at a
+// cut does not depend on which other cuts share the grid — the
+// counterfactual finisher is the one CounterfactualBatch calls, and
+// BundleStats itself answers through this pass. The batching-equivalence
 // suites (core batch_test.go, service batch_differential_test.go) pin
 // this byte-for-byte.
 
@@ -98,9 +97,16 @@ type BatchAnswer struct {
 
 // batchGeom is the per-query pass geometry resolved during validation.
 type batchGeom struct {
-	cut     int // leading positions of the shared order this query reads
-	cnt     int // selection count (all kinds but BatchNDCG)
+	cut     int // leading positions of the shared order this query reads; a metric's fold cut
+	cnt     int // selection count (counterfactual and bundle kinds)
 	ndcgCut int // bundle utility cut
+}
+
+// bundleGeom is a bundle's pass geometry: the selection plus its margin
+// window (clamped to the population) and the nDCG cut.
+func (e *Evaluator) bundleGeom(cnt, ndcgCut, margins int) batchGeom {
+	p := min(cnt+margins, e.d.N())
+	return batchGeom{cut: max(p, ndcgCut), cnt: cnt, ndcgCut: ndcgCut}
 }
 
 // AnswerBatch answers every query from one shared ranked pass under the
@@ -111,16 +117,15 @@ func (e *Evaluator) AnswerBatch(bonus []float64, qs []BatchQuery) ([]BatchAnswer
 
 // AnswerBatchCtx validates every query up front (a batch-wide error, so
 // the service layer can keep malformed requests out of the window), then
-// acquires one ranked prefix sized to the batch's maximum cut and answers
-// each query from it: metric queries through the sweep engine's prefix
-// folds over per-kind cut grids, counterfactual queries through the
-// combo-run rank lookups (merged pass) or the shared full order,
-// bundle queries through the BundleStats finishers plus one shared
-// leave-one-out fan. The ranking budget is one pass for the whole batch
-// — plus, when bundles are present, one leave-one-out prefix per
-// attribute with a non-zero bonus, shared across every bundle — instead
-// of one per request; a zero bonus is answered from the cached base
-// order for free.
+// acquires one ranked pass sized to the batch's maximum cut and answers
+// each query from it: metric queries through the fold table over per-kind
+// cut grids, counterfactual queries through the combo-run rank lookups
+// (merged pass) or the shared full order, bundle queries through the
+// BundleStats finishers plus one shared leave-one-out fan. The ranking
+// budget is one pass for the whole batch — plus, when bundles are
+// present, one leave-one-out prefix per attribute with a non-zero bonus,
+// shared across every bundle — instead of one per request; a zero bonus
+// is answered from the cached base order for free.
 //
 // Cancellation is cooperative per PR 8's contract: ctx is the BATCH's
 // context, not any one caller's — the batcher cancels it only when every
@@ -140,39 +145,18 @@ func (e *Evaluator) AnswerBatchCtx(ctx context.Context, bonus []float64, qs []Ba
 	bonus = canonBonus(bonus)
 
 	geom := make([]batchGeom, len(qs))
-	maxCut := 0
-	hasCF := false
 	for i := range qs {
 		q := &qs[i]
-		g := &geom[i]
 		switch q.Kind {
-		case BatchDisparity, BatchDisparateImpact, BatchFPRDiff:
-			if q.Kind == BatchFPRDiff && !e.d.HasOutcomes() {
-				return nil, fmt.Errorf("core: FPR evaluation requires outcomes")
-			}
-			cnt, err := rank.SelectCount(n, q.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, q.K, err)
-			}
-			g.cnt, g.cut = cnt, cnt
-		case BatchExposure, BatchExpRatio, BatchTopK:
-			if err := e.exposureGuard(); err != nil {
+		case BatchDisparity, BatchNDCG, BatchDisparateImpact, BatchFPRDiff, BatchExposure, BatchExpRatio, BatchTopK:
+			if err := e.checkMetric(q.Kind); err != nil {
 				return nil, err
 			}
-			if q.Kind == BatchExpRatio && !e.d.HasOutcomes() {
-				return nil, fmt.Errorf("core: exposure/merit ratio requires outcomes")
-			}
-			cnt, err := rank.SelectCount(n, q.K)
+			cut, err := metricCount(q.Kind)(n, q.K)
 			if err != nil {
 				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, q.K, err)
 			}
-			g.cnt, g.cut = cnt, cnt
-		case BatchNDCG:
-			cut, err := metrics.PrefixCount(n, q.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, q.K, err)
-			}
-			g.cut = cut
+			geom[i].cut = cut
 		case BatchCounterfactual:
 			cnt, err := rank.SelectCount(n, q.K)
 			if err != nil {
@@ -183,11 +167,7 @@ func (e *Evaluator) AnswerBatchCtx(ctx context.Context, bonus []float64, qs []Ba
 					return nil, fmt.Errorf("core: batch query %d: object %d outside [0,%d)", i, obj, n)
 				}
 			}
-			g.cnt, g.cut = cnt, cnt
-			if cnt < n {
-				g.cut = cnt + 1 // the first excluded object is a boundary competitor too
-			}
-			hasCF = true
+			geom[i] = batchGeom{cut: min(cnt+1, n), cnt: cnt} // the first excluded object is a boundary competitor too
 		case BatchBundle:
 			b := q.Bundle
 			if b == nil {
@@ -215,363 +195,193 @@ func (e *Evaluator) AnswerBatchCtx(ctx context.Context, bonus []float64, qs []Ba
 			if err != nil {
 				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, b.K, err)
 			}
-			g.cnt, g.ndcgCut = cnt, ndcgCut
-			p := cnt + b.Margins
-			if p > n {
-				p = n
-			}
-			g.cut = p
-			if ndcgCut > g.cut {
-				g.cut = ndcgCut
-			}
+			geom[i] = e.bundleGeom(cnt, ndcgCut, b.Margins)
 		default:
 			return nil, fmt.Errorf("core: batch query %d: unknown kind %d", i, q.Kind)
 		}
-		if g.cut > maxCut {
-			maxCut = g.cut
-		}
 	}
+	return e.answerBatch(ctx, bonus, qs, geom)
+}
 
-	ws := e.ws()
-	defer e.put(ws)
-
-	// One shared pass sized to the batch's maximum cut, routed exactly as
-	// rankedPrefixWS routes a single request — written out here because
-	// the counterfactual answers need to know WHICH route was taken: a
-	// merged prefix keeps the MergeScratch live for per-object RankOf
-	// lookups, while a non-merged pass with counterfactual queries must be
-	// a full order (arbitrary object ids live anywhere in it).
-	var (
-		order  []int
-		eff    []float64
-		merged bool
-	)
-	if bonus == nil {
-		// The cached uncompensated order answers the whole batch for free.
-		order, eff = e.origOrd, e.base
-	} else {
-		if err := faultinject.Fire(ctx, faultinject.SiteRankPrefix); err != nil {
-			return nil, err
-		}
-		if e.mergeEligible(maxCut) {
-			pre, ok, err := e.runs.MergeTopKIntoCtx(ctx, bonus, e.pol, maxCut, ws.Merge(), ws.Ord(maxCut), ws.Eff(n))
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				e.merges.Add(1)
-				order, eff, merged = pre, ws.Eff(n), true
-			}
-		}
-		if order == nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			eff = rank.EffectiveScores(e.d, e.base, e.all, bonus, e.pol, ws.Eff(n))
-			e.rankings.Add(1)
-			if hasCF || maxCut >= n/2 {
-				order = rank.OrderInto(eff, ws.Ord(n))
-			} else {
-				order = rank.TopKHeapInto(eff, maxCut, ws.Ord(maxCut))
-				rank.SortRanked(eff, order)
-			}
-		}
-	}
-
-	answers := make([]BatchAnswer, len(qs))
-	dims := e.d.NumFair()
-
-	// Metric queries: per-kind ascending cut grids through the exact
-	// prefix folds the sweep engine runs. A fold's value at a cut is
-	// independent of the rest of the grid, so sharing a grid (and a
-	// longer-than-necessary order) changes nothing bit-wise.
-	if idx, cuts, pos := batchGrid(qs, geom, BatchDisparity); len(idx) > 0 {
-		cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(len(cuts)*dims))
-		for r, qi := range idx {
-			row := cent[pos[r]*dims : (pos[r]+1)*dims]
-			dst := make([]float64, dims)
-			for j := range dst {
-				dst[j] = row[j] - e.centroid[j]
-			}
-			answers[qi].Vector = dst
-		}
-	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchNDCG); len(idx) > 0 {
-		nc := len(cuts)
-		agg := ws.Agg(2 * nc)
-		corrected := metrics.PrefixDCGInto(e.base, order, cuts, agg[:nc])
-		ideal := metrics.PrefixDCGInto(e.base, e.origOrd, cuts, agg[nc:])
-		for r, qi := range idx {
-			c := pos[r]
-			if ideal[c] == 0 {
-				answers[qi].Err = metrics.ErrZeroIdealDCG
-				continue
-			}
-			answers[qi].Value = corrected[c] / ideal[c]
-		}
-	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchDisparateImpact); len(idx) > 0 {
-		counts := metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(len(cuts)*dims))
-		for r, qi := range idx {
-			c := pos[r]
-			row := counts[c*dims : (c+1)*dims]
-			sel := cuts[c]
-			dst := make([]float64, dims)
-			for j := range dst {
-				dst[j] = metrics.ImpactFromCounts(row[j], e.groupTot[j], sel-row[j], n-e.groupTot[j])
-			}
-			answers[qi].Vector = dst
-		}
-	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchFPRDiff); len(idx) > 0 {
-		nc := len(cuts)
-		cnts := ws.Cnts(nc*dims + nc)
-		rows, all := cnts[:nc*dims], cnts[nc*dims:]
-		metrics.PrefixFPCountsInto(e.d, order, cuts, rows, all)
-		for r, qi := range idx {
-			c := pos[r]
-			dst := make([]float64, dims)
-			if e.negAll != 0 {
-				overall := float64(all[c]) / float64(e.negAll)
-				row := rows[c*dims : (c+1)*dims]
-				for j := range dst {
-					if e.negTot[j] != 0 {
-						dst[j] = float64(row[j])/float64(e.negTot[j]) - overall
-					}
-				}
-			}
-			answers[qi].Vector = dst
-		}
-	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchExposure); len(idx) > 0 {
-		gw := dims + 1
-		nc := len(cuts)
-		expo := metrics.PrefixExposureInto(e.d, order, cuts, ws.PopN(gw), ws.Agg(nc*gw))
-		sizes := metrics.PrefixExposureCountsInto(e.d, order, cuts, ws.Cnts(nc*gw))
-		for r, qi := range idx {
-			c := pos[r]
-			row, szs := expo[c*gw:(c+1)*gw], sizes[c*gw:(c+1)*gw]
-			ddp, err := metrics.DDPFromExposure(row, szs)
-			if err != nil {
-				answers[qi].Err = err
-				continue
-			}
-			dst := make([]float64, gw)
-			metrics.ExposurePerCapitaInto(row, szs, dst)
-			answers[qi].Vector = dst
-			answers[qi].Value = ddp
-		}
-	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchExpRatio); len(idx) > 0 {
-		gw := dims + 1
-		nc := len(cuts)
-		expo := metrics.PrefixExposureInto(e.d, order, cuts, ws.PopN(gw), ws.Agg(nc*gw))
-		counts := metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(nc*dims))
-		for r, qi := range idx {
-			c := pos[r]
-			erow := expo[c*gw : c*gw+dims]
-			crow := counts[c*dims : (c+1)*dims]
-			dst := make([]float64, dims)
-			for j := range dst {
-				dst[j] = metrics.ExpRatioFromCounts(erow[j], crow[j], e.groupTot[j]-e.negTot[j], e.groupTot[j])
-			}
-			answers[qi].Vector = dst
-		}
-	}
-	if idx, cuts, pos := batchGrid(qs, geom, BatchTopK); len(idx) > 0 {
-		counts := metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(len(cuts)*dims))
-		for r, qi := range idx {
-			c := pos[r]
-			row := counts[c*dims : (c+1)*dims]
-			sel := cuts[c]
-			dst := make([]float64, dims)
-			for j := range dst {
-				dst[j] = metrics.TopKFromCounts(row[j], sel, e.groupTot[j], n)
-			}
-			answers[qi].Vector = dst
-		}
-	}
-
-	// Counterfactual queries. A merged pass answers objects through the
-	// per-run rank lookups (the scratch retains the merge offsets); the
-	// full-order paths invert the shared permutation. Both finish through
-	// finishCounterfactual, so the results are bit-identical to
-	// CounterfactualBatch by construction.
-	for i := range qs {
-		if qs[i].Kind != BatchCounterfactual {
-			continue
-		}
-		if merged {
-			cfs, ok := e.counterfactualsMergeWS(ws, order, bonus, geom[i].cnt, qs[i].Objects)
-			if !ok {
-				return nil, fmt.Errorf("core: batch rank lookup failed after a validated merge")
-			}
-			answers[i].Counterfactuals = cfs
-		} else {
-			answers[i].Counterfactuals = e.counterfactualsWS(ws, order, bonus, geom[i].cnt, qs[i].Objects)
-		}
-	}
-
-	// Bundle queries: the compensated-order and base-order quantities come
-	// from the shared pass; the leave-one-out fan below is shared across
-	// every bundle in the batch (they all audit the batch bonus).
-	var bundles []int
+// answerBatch answers validated queries under a canonical bonus; geom
+// carries each query's resolved geometry. Task 0 takes the shared pass
+// and answers every query from it. When bundles are present, their
+// leave-one-out attribution runs beside it as tasks 1..: one pass per
+// attribute with a non-zero bonus, shared by every bundle (they all audit
+// the batch bonus), sized to the largest bundle selection and folded at
+// each bundle's cut. An attribute already at zero leaves the vector
+// unchanged, so its leave-one-out norm IS the policy's norm and costs no
+// ranking. On a multicore box the distinct rankings overlap; on one core
+// the fan degenerates to a loop over one pooled workspace.
+func (e *Evaluator) answerBatch(ctx context.Context, bonus []float64, qs []BatchQuery, geom []batchGeom) ([]BatchAnswer, error) {
+	var looJobs, looCuts []int
 	for i := range qs {
 		if qs[i].Kind == BatchBundle {
-			bundles = append(bundles, i)
+			looCuts = append(looCuts, geom[i].cnt)
 		}
 	}
-	for _, qi := range bundles {
-		cfg := qs[qi].Bundle
-		g := &geom[qi]
-		bcopy := make([]float64, dims)
-		copy(bcopy, cfg.Bonus)
-		st := &BundleStats{
-			K:               cfg.K,
-			Selected:        g.cnt,
-			FairNames:       e.d.FairNames(),
-			Bonus:           bcopy,
-			GroupCounts:     make([]int, dims),
-			BaseGroupCounts: make([]int, dims),
-			LeaveOneOut:     make([]float64, dims),
-			Contribution:    make([]float64, dims),
-		}
-		if err := e.bundleFromShared(ws, order, eff, cfg, st, g.cnt, g.ndcgCut); err != nil {
-			answers[qi].Err = err
-			continue
-		}
-		answers[qi].Bundle = st
-	}
-	if len(bundles) > 0 && bonus != nil {
-		var looJobs []int
+	if len(looCuts) > 0 {
 		for j, b := range bonus {
 			if b != 0 {
 				looJobs = append(looJobs, j)
 			}
 		}
-		bcuts := make([]int, 0, len(bundles))
-		for _, qi := range bundles {
-			if answers[qi].Bundle != nil {
-				bcuts = append(bcuts, geom[qi].cnt)
-			}
-		}
-		sort.Ints(bcuts)
-		bcuts = slices.Compact(bcuts)
-		if len(looJobs) > 0 && len(bcuts) > 0 {
-			looBacking := make([]float64, len(looJobs)*dims)
-			looNorms := make([]float64, len(looJobs)*len(bcuts))
-			terrs := make([]error, len(looJobs))
-			perr := e.parallelCtx(ctx, len(looJobs), func(lws *engine.Workspace, r int) {
-				vec := looBacking[r*dims : (r+1)*dims]
-				copy(vec, bonus)
-				vec[looJobs[r]] = 0
-				ord, err := e.rankedPrefixWS(ctx, lws, vec, bcuts[len(bcuts)-1])
-				if err != nil {
-					terrs[r] = err
-					return
-				}
-				cent := metrics.PrefixCentroidInto(e.d, ord, bcuts, lws.Pop(), lws.Agg(len(bcuts)*dims))
-				for c := range bcuts {
-					looNorms[r*len(bcuts)+c] = normAgainst(cent[c*dims:(c+1)*dims], e.centroid)
-				}
-			})
-			if err := firstErr(perr, terrs); err != nil {
-				return nil, err
-			}
-			for _, qi := range bundles {
-				st := answers[qi].Bundle
-				if st == nil {
-					continue
-				}
-				c, _ := slices.BinarySearch(bcuts, geom[qi].cnt)
-				for r, j := range looJobs {
-					st.LeaveOneOut[j] = looNorms[r*len(bcuts)+c]
-				}
-			}
-		}
+		sort.Ints(looCuts)
+		looCuts = slices.Compact(looCuts)
 	}
-	for _, qi := range bundles {
-		st := answers[qi].Bundle
+	nc, dims := len(looCuts), e.d.NumFair()
+	looVecs := make([]float64, len(looJobs)*dims)
+	looNorms := make([]float64, len(looJobs)*nc)
+	answers := make([]BatchAnswer, len(qs))
+	terrs := make([]error, 1+len(looJobs))
+	perr := e.parallelCtx(ctx, len(terrs), func(ws *engine.Workspace, t int) {
+		if t == 0 {
+			terrs[0] = e.answerSharedWS(ctx, ws, bonus, qs, geom, answers)
+			return
+		}
+		r := t - 1
+		vec := looVecs[r*dims : (r+1)*dims]
+		copy(vec, bonus)
+		vec[looJobs[r]] = 0
+		terrs[t] = e.leaveOneOutWS(ctx, ws, vec, looCuts, looNorms[r*nc:(r+1)*nc])
+	})
+	if err := firstErr(perr, terrs); err != nil {
+		return nil, err
+	}
+	for i := range qs {
+		st := answers[i].Bundle
 		if st == nil {
 			continue
 		}
+		c, _ := slices.BinarySearch(looCuts, geom[i].cnt)
+		for j := range st.LeaveOneOut {
+			st.LeaveOneOut[j] = st.NormAfter
+		}
+		for r, j := range looJobs {
+			st.LeaveOneOut[j] = looNorms[r*nc+c]
+		}
 		st.Reduction = st.NormBefore - st.NormAfter
-		for j := 0; j < dims; j++ {
-			if bonus == nil || bonus[j] == 0 {
-				st.LeaveOneOut[j] = st.NormAfter
-			}
+		for j := range st.Contribution {
 			st.Contribution[j] = st.LeaveOneOut[j] - st.NormAfter
 		}
 	}
 	return answers, nil
 }
 
-// batchGrid collects the queries of one kind and deduplicates their cuts
-// into an ascending grid, exactly as groupPoints does for a sweep group:
-// idx lists the query indices, cuts the grid, and pos[r] locates idx[r]'s
-// cut within it. The geometry cut doubles as the fold cut for every
-// metric kind (for BatchNDCG it is the PrefixCount cut; for the selection
-// metrics the SelectCount).
-func batchGrid(qs []BatchQuery, geom []batchGeom, kind BatchKind) (idx, cuts, pos []int) {
+// answerSharedWS takes the batch's one shared pass on ws and answers
+// every query from it into answers, all but the bundles' leave-one-out
+// attribution.
+func (e *Evaluator) answerSharedWS(ctx context.Context, ws *engine.Workspace, bonus []float64, qs []BatchQuery, geom []batchGeom, answers []BatchAnswer) error {
+	maxCut, anyRank := 0, false
+	cuts := make([]int, len(qs))
 	for i := range qs {
-		if qs[i].Kind == kind {
-			idx = append(idx, i)
+		cuts[i] = geom[i].cut
+		maxCut = max(maxCut, cuts[i])
+		anyRank = anyRank || qs[i].Kind == BatchCounterfactual
+	}
+	// Counterfactual objects may lie anywhere in the population, so their
+	// presence asks the seam for a pass that can rank any object.
+	ps, err := e.rankedPassWS(ctx, ws, bonus, maxCut, anyRank)
+	if err != nil {
+		return err
+	}
+
+	// Metric queries: one fold per kind over the kind's cut grid.
+	vecs, vals, errs := make([][]float64, len(qs)), make([]float64, len(qs)), make([]error, len(qs))
+	for _, kind := range metricKinds {
+		var g sweepGroup
+		for i := range qs {
+			if qs[i].Kind == kind {
+				g.pts = append(g.pts, i)
+			}
+		}
+		if len(g.pts) == 0 {
+			continue
+		}
+		g.setGrid(cuts)
+		if w := e.metricWidth(kind); w > 0 {
+			for r, row := range vectorRows(len(g.pts), w) {
+				vecs[g.pts[r]] = row
+			}
+		}
+		e.foldWS(ws, kind, ps.order, &g, vecs, vals, errs)
+	}
+	for i := range qs {
+		switch qs[i].Kind {
+		case BatchCounterfactual:
+			cfs, err := e.counterfactualsWS(ws, ps, bonus, geom[i].cnt, qs[i].Objects)
+			if err != nil {
+				return err
+			}
+			answers[i].Counterfactuals = cfs
+		case BatchBundle:
+			answers[i].Bundle, answers[i].Err = e.bundleFromShared(ws, ps, bonus, qs[i].Bundle, geom[i])
+		default:
+			if errs[i] != nil {
+				answers[i].Err = errs[i]
+				continue
+			}
+			answers[i].Vector, answers[i].Value = vecs[i], vals[i]
 		}
 	}
-	if len(idx) == 0 {
-		return nil, nil, nil
-	}
-	gridOf := func(qi int) int {
-		if kind == BatchNDCG {
-			return geom[qi].cut
-		}
-		return geom[qi].cnt
-	}
-	cuts = make([]int, len(idx))
-	for r, qi := range idx {
-		cuts[r] = gridOf(qi)
-	}
-	sort.Ints(cuts)
-	cuts = slices.Compact(cuts)
-	pos = make([]int, len(idx))
-	for r, qi := range idx {
-		p, _ := slices.BinarySearch(cuts, gridOf(qi))
-		pos[r] = p
-	}
-	return idx, cuts, pos
+	return nil
 }
 
-// bundleFromShared fills one bundle's shared-order quantities from the
-// batch pass, mirroring bundleFullPass field-for-field (plus the
-// base-order side that BundleStatsCtx computes as its second parallel
-// task): cutoff, group counts, disparity norms, nDCG, FPR differences,
-// beneficiary sets, and the counterfactual margin window. order must
-// cover the bundle's own prefix (cnt + margins, clamped) and the nDCG
-// cut; eff must be the effective scores the order was ranked by. Only
-// the zero-ideal-DCG failure is possible, and it is the query's own.
-func (e *Evaluator) bundleFromShared(ws *engine.Workspace, order []int, eff []float64, cfg *BundleStatsConfig, st *BundleStats, cnt, ndcgCut int) error {
-	n := e.d.N()
+// leaveOneOutWS ranks a leave-one-out bonus vector and writes its
+// disparity norm at every cut into norms.
+func (e *Evaluator) leaveOneOutWS(ctx context.Context, ws *engine.Workspace, vec []float64, cuts []int, norms []float64) error {
 	dims := e.d.NumFair()
-	p := cnt + cfg.Margins
-	if p > n {
-		p = n
+	ps, err := e.rankedPassWS(ctx, ws, vec, cuts[len(cuts)-1], false)
+	if err != nil {
+		return err
 	}
-	st.Cutoff = eff[order[cnt-1]]
+	cent := metrics.PrefixCentroidInto(e.d, ps.order, cuts, ws.Pop(), ws.Agg(len(cuts)*dims))
+	for c := range cuts {
+		norms[c] = normAgainst(cent[c*dims:(c+1)*dims], e.centroid)
+	}
+	return nil
+}
+
+// bundleFromShared computes one bundle's every shared-order quantity from
+// the batch pass: cutoff, group counts, disparity norms, nDCG, FPR
+// differences, exposure rows, beneficiary sets, and the counterfactual
+// margin window, plus the base-order side off the cached uncompensated
+// ranking. The pass must cover the bundle's geometry cut. The
+// leave-one-out attribution is left to answerBatch. The only failures
+// are the data-dependent ones (a zero ideal DCG, degenerate exposure
+// groups), and they are the query's own.
+func (e *Evaluator) bundleFromShared(ws *engine.Workspace, ps rankPass, bonus []float64, cfg *BundleStatsConfig, g batchGeom) (*BundleStats, error) {
+	dims := e.d.NumFair()
+	cnt, order := g.cnt, ps.order
+	// The Bonus copy is always dims long (a nil config bonus means the
+	// zero vector), so every per-dimension slice in the result is
+	// aligned — consumers like report.FromStats index them in lockstep.
+	st := &BundleStats{
+		K:               cfg.K,
+		Selected:        cnt,
+		FairNames:       e.d.FairNames(),
+		Bonus:           make([]float64, dims),
+		GroupCounts:     make([]int, dims),
+		BaseGroupCounts: make([]int, dims),
+		LeaveOneOut:     make([]float64, dims),
+		Contribution:    make([]float64, dims),
+	}
+	copy(st.Bonus, cfg.Bonus)
+	st.Cutoff = ps.eff[order[cnt-1]]
 
 	cuts := []int{cnt}
 	copy(st.GroupCounts, metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(dims)))
-
 	cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(dims))
 	st.NormAfter = normAgainst(cent, e.centroid)
 
 	// The centroid row has been consumed, so the aggregate scratch can be
-	// re-carved — same sequencing as bundleFullPass.
-	ndcgCuts := []int{ndcgCut}
+	// re-carved.
+	ndcgCuts := []int{g.ndcgCut}
 	agg := ws.Agg(2)
 	corrected := metrics.PrefixDCGInto(e.base, order, ndcgCuts, agg[:1])
 	ideal := metrics.PrefixDCGInto(e.base, e.origOrd, ndcgCuts, agg[1:])
 	if ideal[0] == 0 {
-		return metrics.ErrZeroIdealDCG
+		return nil, metrics.ErrZeroIdealDCG
 	}
 	st.NDCG = corrected[0] / ideal[0]
 
@@ -583,22 +393,22 @@ func (e *Evaluator) bundleFromShared(ws *engine.Workspace, order []int, eff []fl
 		if e.negAll != 0 {
 			overall := float64(all[0]) / float64(e.negAll)
 			for j := range st.FPRDiff {
-				if e.negTot[j] == 0 {
-					continue
+				if e.negTot[j] != 0 {
+					st.FPRDiff[j] = float64(rows[j])/float64(e.negTot[j]) - overall
 				}
-				st.FPRDiff[j] = float64(rows[j])/float64(e.negTot[j]) - overall
 			}
 		}
 	}
-
 	if cfg.IncludeExposure {
 		var err error
 		if st.Exposure, st.ExposureDDP, err = e.exposureSideWS(ws, order, cuts); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
-	marks := ws.Marks(n)
+	// Beneficiary sets: symmetric difference of the two selections via
+	// the membership-mark buffer (reset to all-false on every path).
+	marks := ws.Marks(e.d.N())
 	for _, o := range e.origOrd[:cnt] {
 		marks[o] = true
 	}
@@ -619,11 +429,12 @@ func (e *Evaluator) bundleFromShared(ws *engine.Workspace, order []int, eff []fl
 	sort.Ints(st.DisplacedByBonus)
 
 	if cfg.Margins > 0 {
-		lo := cnt - cfg.Margins
-		if lo < 0 {
-			lo = 0
+		lo := max(cnt-cfg.Margins, 0)
+		hi := min(cnt+cfg.Margins, e.d.N())
+		var err error
+		if st.Margins, err = e.counterfactualsWS(ws, ps, bonus, cnt, order[lo:hi]); err != nil {
+			return nil, err
 		}
-		st.Margins = e.counterfactualsWS(ws, order, cfg.Bonus, cnt, order[lo:p])
 	}
 
 	// Base-order side: free off the cached uncompensated ranking.
@@ -634,8 +445,8 @@ func (e *Evaluator) bundleFromShared(ws *engine.Workspace, order []int, eff []fl
 	if cfg.IncludeExposure {
 		var err error
 		if st.BaseExposure, st.BaseExposureDDP, err = e.exposureSideWS(ws, e.origOrd, cuts); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return st, nil
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
-	"fairrank/internal/engine"
 	"fairrank/internal/metrics"
 	"fairrank/internal/rank"
 )
@@ -124,8 +122,10 @@ type BundleStats struct {
 // BundleStats computes every audit-bundle quantity for a bonus vector at
 // selection fraction k in one shared-order pass: the compensated prefix,
 // the cached base order, and one leave-one-out prefix per attribute with
-// a non-zero bonus, fanned over the engine worker pool. See the package
-// comment above for the cost model and the bit-identity contract.
+// a non-zero bonus, fanned over the engine worker pool. It is the batch
+// pass (AnswerBatchCtx) answering a single bundle query, so batched and
+// unbatched bundles are the same code. See the package comment above for
+// the cost model and the bit-identity contract.
 func (e *Evaluator) BundleStats(cfg BundleStatsConfig) (*BundleStats, error) {
 	return e.BundleStatsCtx(context.Background(), cfg)
 }
@@ -133,7 +133,8 @@ func (e *Evaluator) BundleStats(cfg BundleStatsConfig) (*BundleStats, error) {
 // BundleStatsCtx is BundleStats with cooperative cancellation: once ctx
 // is done, no further ranking task is dispatched, in-flight tasks stop at
 // their next checkpoint, and the context's error is returned — no partial
-// bundle escapes.
+// bundle escapes. Validation runs here first, so its errors keep their
+// pointwise wording rather than the batch's per-query wrapping.
 func (e *Evaluator) BundleStatsCtx(ctx context.Context, cfg BundleStatsConfig) (*BundleStats, error) {
 	if err := e.checkBonusDims(cfg.Bonus); err != nil {
 		return nil, err
@@ -166,178 +167,12 @@ func (e *Evaluator) BundleStatsCtx(ctx context.Context, cfg BundleStatsConfig) (
 	if err != nil {
 		return nil, err
 	}
-	dims := e.d.NumFair()
-
-	// The Bonus copy is always dims long (a nil config bonus means the
-	// zero vector), so every per-dimension slice in the result is
-	// aligned — consumers like report.FromStats index them in lockstep.
-	bonus := make([]float64, dims)
-	copy(bonus, cfg.Bonus)
-	st := &BundleStats{
-		K:               cfg.K,
-		Selected:        cnt,
-		FairNames:       e.d.FairNames(),
-		Bonus:           bonus,
-		GroupCounts:     make([]int, dims),
-		BaseGroupCounts: make([]int, dims),
-		LeaveOneOut:     make([]float64, dims),
-		Contribution:    make([]float64, dims),
-	}
-
-	// Leave-one-out jobs: one ranking per attribute whose bonus is
-	// non-zero. An attribute already at zero leaves the vector unchanged,
-	// so its leave-one-out norm IS the full policy's norm — no ranking.
-	var looJobs []int
-	for j, b := range cfg.Bonus {
-		if b != 0 {
-			looJobs = append(looJobs, j)
-		}
-	}
-	looBacking := make([]float64, len(looJobs)*dims)
-	looVecs := make([][]float64, len(looJobs))
-	for r, j := range looJobs {
-		vec := looBacking[r*dims : (r+1)*dims]
-		copy(vec, cfg.Bonus)
-		vec[j] = 0
-		looVecs[r] = vec
-	}
-
-	// cuts is shared read-only by every prefix aggregation below.
-	cuts := []int{cnt}
-	ndcgCuts := []int{ndcgCut}
-	terrs := make([]error, 2+len(looJobs))
-
-	// Task 0 answers everything addressed by the compensated order; task
-	// 1 the base-order side; tasks 2.. one leave-one-out norm each. On a
-	// multicore box the distinct rankings overlap; on one core the fan-out
-	// degenerates to a loop over one pooled workspace.
-	perr := e.parallelCtx(ctx, 2+len(looJobs), func(ws *engine.Workspace, i int) {
-		switch i {
-		case 0:
-			terrs[0] = e.bundleFullPass(ctx, ws, cfg, st, cnt, cuts, ndcgCuts)
-		case 1:
-			st.BaseCutoff = e.base[e.origOrd[cnt-1]]
-			copy(st.BaseGroupCounts, metrics.PrefixGroupCountsInto(e.d, e.origOrd, cuts, ws.Cnts(dims)))
-			cent := metrics.PrefixCentroidInto(e.d, e.origOrd, cuts, ws.Pop(), ws.Agg(dims))
-			st.NormBefore = normAgainst(cent, e.centroid)
-			if cfg.IncludeExposure {
-				st.BaseExposure, st.BaseExposureDDP, terrs[1] = e.exposureSideWS(ws, e.origOrd, cuts)
-			}
-		default:
-			r := i - 2
-			order, err := e.rankedPrefixWS(ctx, ws, looVecs[r], cnt)
-			if err != nil {
-				terrs[i] = err
-				return
-			}
-			cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(dims))
-			st.LeaveOneOut[looJobs[r]] = normAgainst(cent, e.centroid)
-		}
-	})
-	if err := firstErr(perr, terrs); err != nil {
+	q := BatchQuery{Kind: BatchBundle, Bundle: &cfg}
+	answers, err := e.answerBatch(ctx, canonBonus(cfg.Bonus), []BatchQuery{q}, []batchGeom{e.bundleGeom(cnt, ndcgCut, cfg.Margins)})
+	if err != nil {
 		return nil, err
 	}
-
-	st.Reduction = st.NormBefore - st.NormAfter
-	for j := 0; j < dims; j++ {
-		if len(cfg.Bonus) == 0 || cfg.Bonus[j] == 0 {
-			st.LeaveOneOut[j] = st.NormAfter
-		}
-		st.Contribution[j] = st.LeaveOneOut[j] - st.NormAfter
-	}
-	return st, nil
-}
-
-// bundleFullPass computes every quantity addressed by the compensated
-// order from one ranked prefix: cutoff, group counts, disparity norm,
-// nDCG, FPR differences, the beneficiary/displaced sets, and the
-// counterfactual margin window. Only it can fail (zero ideal DCG).
-func (e *Evaluator) bundleFullPass(ctx context.Context, ws *engine.Workspace, cfg BundleStatsConfig, st *BundleStats, cnt int, cuts, ndcgCuts []int) error {
-	n := e.d.N()
-	dims := e.d.NumFair()
-	p := cnt + cfg.Margins
-	if p > n {
-		p = n
-	}
-	order, err := e.rankedPrefixWS(ctx, ws, cfg.Bonus, p)
-	if err != nil {
-		return err
-	}
-	eff := e.base
-	if !isZero(cfg.Bonus) {
-		eff = ws.Eff(n) // filled by rankedPrefixWS
-	}
-	st.Cutoff = eff[order[cnt-1]]
-
-	copy(st.GroupCounts, metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(dims)))
-
-	cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(dims))
-	st.NormAfter = normAgainst(cent, e.centroid)
-
-	// nDCG from prefix DCG sums over the compensated and original orders;
-	// the centroid row above has been consumed, so the aggregate scratch
-	// can be re-carved.
-	agg := ws.Agg(2)
-	corrected := metrics.PrefixDCGInto(e.base, order, ndcgCuts, agg[:1])
-	ideal := metrics.PrefixDCGInto(e.base, e.origOrd, ndcgCuts, agg[1:])
-	if ideal[0] == 0 {
-		return metrics.ErrZeroIdealDCG
-	}
-	st.NDCG = corrected[0] / ideal[0]
-
-	if cfg.IncludeFPR {
-		cnts := ws.Cnts(dims + 1)
-		rows, all := cnts[:dims], cnts[dims:]
-		metrics.PrefixFPCountsInto(e.d, order, cuts, rows, all)
-		st.FPRDiff = make([]float64, dims)
-		if e.negAll != 0 {
-			overall := float64(all[0]) / float64(e.negAll)
-			for j := range st.FPRDiff {
-				if e.negTot[j] == 0 {
-					continue
-				}
-				st.FPRDiff[j] = float64(rows[j])/float64(e.negTot[j]) - overall
-			}
-		}
-	}
-
-	if cfg.IncludeExposure {
-		var err error
-		if st.Exposure, st.ExposureDDP, err = e.exposureSideWS(ws, order, cuts); err != nil {
-			return err
-		}
-	}
-
-	// Beneficiary sets: symmetric difference of the two selections via
-	// the membership-mark buffer (reset to all-false on every path).
-	marks := ws.Marks(n)
-	for _, o := range e.origOrd[:cnt] {
-		marks[o] = true
-	}
-	for _, o := range order[:cnt] {
-		if marks[o] {
-			marks[o] = false
-		} else {
-			st.AdmittedByBonus = append(st.AdmittedByBonus, o)
-		}
-	}
-	for _, o := range e.origOrd[:cnt] {
-		if marks[o] {
-			st.DisplacedByBonus = append(st.DisplacedByBonus, o)
-			marks[o] = false
-		}
-	}
-	sort.Ints(st.AdmittedByBonus)
-	sort.Ints(st.DisplacedByBonus)
-
-	if cfg.Margins > 0 {
-		lo := cnt - cfg.Margins
-		if lo < 0 {
-			lo = 0
-		}
-		st.Margins = e.counterfactualsWS(ws, order, cfg.Bonus, cnt, order[lo:p])
-	}
-	return nil
+	return answers[0].Bundle, answers[0].Err
 }
 
 // normAgainst returns the L2 norm of (cent - ref), the disparity norm of

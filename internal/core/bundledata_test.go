@@ -329,11 +329,11 @@ func TestRankedPrefixMatchesFullSort(t *testing.T) {
 	ws := ev.ws()
 	defer ev.put(ws)
 	for p := 1; p <= d.N(); p++ {
-		got, err := ev.rankedPrefixWS(context.Background(), ws, bonus, p)
+		ps, err := ev.rankedPassWS(context.Background(), ws, bonus, p, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got, full[:p]) {
+		if got := ps.order; !slices.Equal(got, full[:p]) {
 			t.Fatalf("prefix %d diverges from the full sort:\n got %v\nwant %v", p, got, full[:p])
 		}
 	}

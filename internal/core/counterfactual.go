@@ -139,105 +139,21 @@ func (e *Evaluator) CounterfactualBatchCtx(ctx context.Context, bonus []float64,
 		return nil, err
 	}
 
-	ws := e.ws()
-	defer e.put(ws)
-	out, ok, err := e.counterfactualBatchMerge(ctx, ws, bonus, cnt, objs)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return out, nil
-	}
-	order, err := e.orderWS(ctx, ws, bonus)
-	if err != nil {
-		return nil, err
-	}
-	return e.counterfactualsWS(ws, order, bonus, cnt, objs), nil
-}
-
-// counterfactualBatchMerge answers a counterfactual batch with no
-// population-wide pass at all: the boundary competitors come off a
-// merged prefix of cnt+1 positions (O(cnt·log g)), and each object's
-// rank and effective score from per-run binary searches
-// (ComboRuns.RankOf, O(g·log(n/g)) per object) — the exact rank every
-// run contributes is the count of members outranking the object under
-// the same total order the full sort realizes. ok is false when the
-// merge cannot serve the batch — no run structure, a heterogeneous
-// cohort or oversized prefix (mergeEligible), a zero bonus (the cached
-// base order already answers that for free), or non-finite offsets —
-// and the caller falls back to the full-ranking path. A non-nil error
-// (cancellation mid-merge) means the batch must be abandoned, not
-// retried on the fallback path.
-func (e *Evaluator) counterfactualBatchMerge(ctx context.Context, ws *engine.Workspace, bonus []float64, cnt int, objs []int) ([]Counterfactual, bool, error) {
-	n := e.d.N()
+	// The boundary competitors are positions cnt-1 and, when cnt < n, cnt.
+	// A merged pass places the objects through per-run binary searches
+	// (ComboRuns.RankOf, O(g·log(n/g)) each) with no population-wide pass
+	// at all; otherwise the pass is the full order and its inverse.
 	p := cnt
 	if cnt < n {
-		p = cnt + 1 // the first excluded object is a boundary competitor too
+		p = cnt + 1
 	}
-	if isZero(bonus) || !e.mergeEligible(p) {
-		return nil, false, nil
-	}
-	ms := ws.Merge()
-	eff := ws.Eff(n)
-	order, ok, err := e.runs.MergeTopKIntoCtx(ctx, bonus, e.pol, p, ms, ws.Ord(p), eff)
+	ws := e.ws()
+	defer e.put(ws)
+	ps, err := e.rankedPassWS(ctx, ws, bonus, p, true)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if !ok {
-		return nil, false, nil
-	}
-	e.merges.Add(1)
-	out, ok := e.counterfactualsMergeWS(ws, order, bonus, cnt, objs)
-	return out, ok, nil
-}
-
-// counterfactualsMergeWS answers every listed object against a merged
-// prefix order, which must have been produced by MergeTopKIntoCtx on the
-// same workspace and cover at least the boundary competitors (positions
-// cnt-1 and, when cnt < n, cnt). Each object's rank and effective score
-// come from per-run binary searches (ComboRuns.RankOf, O(g·log(n/g)) per
-// object) against the offsets the merge left in the workspace scratch —
-// the exact rank every run contributes is the count of members
-// outranking the object under the same total order the full sort
-// realizes. Both the per-request merge batch and the cross-request
-// shared pass (AnswerBatchCtx) finish through it, so their results are
-// bit-identical by construction. ok is false only for non-finite
-// offsets, unreachable after a merge validated them.
-func (e *Evaluator) counterfactualsMergeWS(ws *engine.Workspace, order []int, bonus []float64, cnt int, objs []int) ([]Counterfactual, bool) {
-	n := e.d.N()
-	ms := ws.Merge()
-	eff := ws.Eff(n)
-	dims := e.d.NumFair()
-	sign := e.pol.Sign()
-	backing := make([]float64, len(objs)*dims)
-	out := make([]Counterfactual, len(objs))
-	for r, obj := range objs {
-		pos, effObj, ok := e.runs.RankOf(obj, bonus, e.pol, ms)
-		if !ok {
-			return nil, false
-		}
-		cf := Counterfactual{
-			Object:       obj,
-			Rank:         pos,
-			Effective:    effObj,
-			Selected:     pos < cnt,
-			PerAttribute: backing[r*dims : (r+1)*dims : (r+1)*dims],
-		}
-		if cf.Selected {
-			if cnt == n {
-				cf.Competitor = -1
-				out[r] = cf
-				continue
-			}
-			cf.Competitor = order[cnt]
-		} else {
-			cf.Competitor = order[cnt-1]
-		}
-		cf.Cutoff = eff[cf.Competitor]
-		e.finishCounterfactual(&cf, sign)
-		out[r] = cf
-	}
-	return out, true
+	return e.counterfactualsWS(ws, ps, bonus, cnt, objs)
 }
 
 // CounterfactualWindow computes counterfactuals for the boundary window of
@@ -269,36 +185,37 @@ func (e *Evaluator) CounterfactualWindow(bonus []float64, k float64, m int) ([]C
 	// Only the leading hi positions are ever read (window ids, ranks, and
 	// boundary competitors all live there), so a ranked prefix suffices —
 	// it is bit-identical to the full order's leading segment.
-	order, err := e.rankedPrefixWS(context.Background(), ws, bonus, hi)
+	ps, err := e.rankedPassWS(context.Background(), ws, bonus, hi, false)
 	if err != nil {
 		return nil, err
 	}
-	return e.counterfactualsWS(ws, order, bonus, cnt, order[lo:hi]), nil
+	return e.counterfactualsWS(ws, ps, bonus, cnt, ps.order[lo:hi])
 }
 
-// counterfactualsWS answers every listed object against the ranked order,
-// which must have been produced by orderWS or rankedPrefixWS on the same
-// workspace; a prefix order is sufficient as long as it covers every
-// listed object and the boundary competitors (positions cnt-1 and, when
-// cnt < n, cnt). objs may alias order (CounterfactualWindow passes a
-// slice of it); the inverse permutation is built before any result is
-// written, and nothing below mutates either buffer.
-func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, bonus []float64, cnt int, objs []int) []Counterfactual {
+// counterfactualsWS answers every listed object against one ranked pass
+// taken on the same workspace. A merged pass places each object through
+// ComboRuns.RankOf against the offsets the merge left in the workspace
+// scratch (the count of members outranking it under the full sort's total
+// order), so the object may lie anywhere in the population. An unmerged
+// pass places them through its order's inverse, so the objects must lie
+// inside the order: a caller ranking arbitrary objects takes the pass
+// with anyRank, which makes an unmerged pass the full order. Either way
+// the boundary competitors (positions cnt-1 and, when cnt < n, cnt) must
+// lie inside the order. objs may alias the order (CounterfactualWindow passes a slice of
+// it); the inverse is built before any result is written, and nothing
+// below mutates either buffer. Every counterfactual path finishes here,
+// so their results are bit-identical by construction. The only error is a
+// rank lookup refusing offsets the merge already validated.
+func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, ps rankPass, bonus []float64, cnt int, objs []int) ([]Counterfactual, error) {
 	n := e.d.N()
-	// orderWS/rankedPrefixWS fill the workspace effective-score buffer
-	// only for a non-zero bonus; the zero vector ranks by the cached base
-	// scores.
-	eff := e.base
-	if !isZero(bonus) {
-		eff = ws.Eff(n)
+	var inv []int
+	if !ps.merged {
+		// The abs buffer is unused by the ranking routes.
+		inv = ws.Abs(n)
+		for pos, o := range ps.order {
+			inv[o] = pos
+		}
 	}
-	// Invert the permutation so Rank lookups are O(1); the abs buffer is
-	// unused by the ranking path.
-	inv := ws.Abs(n)
-	for pos, o := range order {
-		inv[o] = pos
-	}
-
 	dims := e.d.NumFair()
 	sign := e.pol.Sign()
 	backing := make([]float64, len(objs)*dims)
@@ -306,11 +223,17 @@ func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, bonus [
 	for r, obj := range objs {
 		cf := Counterfactual{
 			Object:       obj,
-			Rank:         inv[obj],
-			Effective:    eff[obj],
-			Selected:     inv[obj] < cnt,
 			PerAttribute: backing[r*dims : (r+1)*dims : (r+1)*dims],
 		}
+		if ps.merged {
+			var ok bool
+			if cf.Rank, cf.Effective, ok = e.runs.RankOf(obj, bonus, e.pol, ws.Merge()); !ok {
+				return nil, fmt.Errorf("core: rank lookup failed after a validated merge")
+			}
+		} else {
+			cf.Rank, cf.Effective = inv[obj], ps.eff[obj]
+		}
+		cf.Selected = cf.Rank < cnt
 		if cf.Selected {
 			// A selected object leaves only by dropping below the first
 			// excluded object; with k covering everyone there is none.
@@ -319,23 +242,21 @@ func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, order []int, bonus [
 				out[r] = cf
 				continue
 			}
-			cf.Competitor = order[cnt]
+			cf.Competitor = ps.order[cnt]
 		} else {
-			cf.Competitor = order[cnt-1]
+			cf.Competitor = ps.order[cnt-1]
 		}
-		cf.Cutoff = eff[cf.Competitor]
+		cf.Cutoff = ps.eff[cf.Competitor]
 		e.finishCounterfactual(&cf, sign)
 		out[r] = cf
 	}
-	return out
+	return out, nil
 }
 
 // finishCounterfactual computes the minimal flip delta and the
 // per-attribute readings of a counterfactual whose identity fields
 // (Object, Rank, Effective, Selected, Competitor, Cutoff, PerAttribute
-// backing) are already set. Both the full-ranking and the merge batch
-// paths go through it, so their results are bit-identical by
-// construction. Feasible stays false when no finite delta flips (an
+// backing) are already set. Feasible stays false when no finite delta flips (an
 // overflowed score landed at ±Inf): the object is reported unflippable
 // rather than emitting a non-finite delta that JSON cannot carry.
 func (e *Evaluator) finishCounterfactual(cf *Counterfactual, sign float64) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -152,88 +153,93 @@ func (e *Evaluator) mergeEligible(p int) bool {
 	return g*4 <= n && 4*p <= 3*n
 }
 
-// orderWS returns the full ranking under bonus using workspace buffers;
-// the result aliases ws (or the cached original order) and must not be
-// retained past the workspace. ctx is polled once before the scoring
-// pass: one full ranking is the cancellation granularity of this path.
-func (e *Evaluator) orderWS(ctx context.Context, ws *engine.Workspace, bonus []float64) ([]int, error) {
-	if isZero(bonus) {
-		return e.origOrd, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// EffectiveScores over the cached identity indices takes the unrolled
-	// low-dimension dot-product fast path.
-	eff := rank.EffectiveScores(e.d, e.base, e.all, bonus, e.pol, ws.Eff(e.d.N()))
-	e.rankings.Add(1)
-	return rank.OrderInto(eff, ws.Ord(e.d.N())), nil
+// rankPass is one ranked pass under a bonus vector, as rankedPassWS
+// returns it. order holds (at least) the leading positions the caller
+// asked for, and eff the effective score of every id in order (the
+// cached base scores under a zero bonus). merged reports that the pass
+// came off the combo-run merge: the workspace's merge scratch still holds
+// the run offsets, so ComboRuns.RankOf can place any object. An unmerged
+// pass taken with anyRank covers the whole population instead.
+type rankPass struct {
+	order  []int
+	eff    []float64
+	merged bool
 }
 
-// rankedPrefixWS returns the first p positions of the full ranking under
-// bonus (descending effective score, ties by ascending index) using
-// workspace buffers; like orderWS, the result aliases ws (or the cached
-// original order) and must not be retained past the workspace. When p is
-// well below the population size, the prefix comes from a bounded-heap
-// selection followed by a sort of just those p indices — O(n log p)
-// instead of O(n log n) — and because the ranking comparator is a total
-// order, the result is bit-identical to orderWS(ctx, ws, bonus)[:p].
-// Cancellation surfaces either from the combo-run merge's amortized
-// checkpoint or from the single poll ahead of a full scoring pass; a
-// non-nil error means no prefix was produced. The faultinject rank.prefix
-// site fires on every non-zero-bonus call, so chaos tests can make each
-// ranking pass arbitrarily slow without touching real data.
-func (e *Evaluator) rankedPrefixWS(ctx context.Context, ws *engine.Workspace, bonus []float64, p int) ([]int, error) {
+// rankedPassWS is the evaluator's single ranking seam: every ranked order
+// under a bonus vector comes from here, and only here is the route
+// chosen. p is how many leading positions the caller reads; anyRank says
+// the caller must also rank arbitrary objects (counterfactuals), so a
+// non-merged pass must be the full order. The routes, in order:
+//
+//   - zero bonus: the cached uncompensated order, free and uncounted;
+//   - combo-run merge (mergeEligible): O(p log g) pops over the
+//     pre-sorted runs, no population-wide pass; counted by MergeCount;
+//   - full sort, when anyRank is set or p covers half the population;
+//   - bounded heap: an O(n log p) selection plus a sort of those p ids.
+//
+// The latter two are counted by RankingCount. Because the ranking
+// comparator is a total order, every prefix route is bit-identical to the
+// full sort's leading segment. The result aliases ws (or the cached order
+// and scores) and must not outlive the workspace. The faultinject
+// rank.prefix site fires on every non-zero-bonus pass. Cancellation
+// surfaces there, from the merge's amortized checkpoint, or from the
+// single poll ahead of a scoring pass; a non-nil error means no pass was
+// produced.
+func (e *Evaluator) rankedPassWS(ctx context.Context, ws *engine.Workspace, bonus []float64, p int, anyRank bool) (rankPass, error) {
 	n := e.d.N()
 	if isZero(bonus) {
-		return e.origOrd[:p], nil
+		if anyRank {
+			p = n
+		}
+		return rankPass{order: e.origOrd[:p], eff: e.base}, nil
 	}
 	if err := faultinject.Fire(ctx, faultinject.SiteRankPrefix); err != nil {
-		return nil, err
+		return rankPass{}, err
 	}
+	eff := ws.Eff(n)
 	if e.mergeEligible(p) {
-		// Combo-run merge: O(p log g) pops over the pre-sorted runs, no
-		// population-wide scoring or sorting at all. The merge fills the
-		// workspace effective-score buffer for every emitted id, exactly
-		// the entries downstream prefix consumers read. It declines (and
-		// falls through to the scan paths) only for non-finite offsets.
-		pre, ok, err := e.runs.MergeTopKIntoCtx(ctx, bonus, e.pol, p, ws.Merge(), ws.Ord(p), ws.Eff(n))
+		// The merge fills eff for every emitted id, exactly the entries
+		// downstream consumers read. It declines (and falls through to the
+		// scan routes) only for non-finite offsets.
+		order, ok, err := e.runs.MergeTopKIntoCtx(ctx, bonus, e.pol, p, ws.Merge(), ws.Ord(p), eff)
 		if err != nil {
-			return nil, err
+			return rankPass{}, err
 		}
 		if ok {
 			e.merges.Add(1)
-			return pre, nil
+			return rankPass{order: order, eff: eff, merged: true}, nil
 		}
-	}
-	if p >= n/2 {
-		// Selecting most of the population saves nothing over sorting it.
-		ord, err := e.orderWS(ctx, ws, bonus)
-		if err != nil {
-			return nil, err
-		}
-		return ord[:p], nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return rankPass{}, err
 	}
-	eff := rank.EffectiveScores(e.d, e.base, e.all, bonus, e.pol, ws.Eff(n))
+	// EffectiveScores over the cached identity indices takes the unrolled
+	// low-dimension dot-product fast path.
+	rank.EffectiveScores(e.d, e.base, e.all, bonus, e.pol, eff)
 	e.rankings.Add(1)
-	pre := rank.TopKHeapInto(eff, p, ws.Ord(p))
-	rank.SortRanked(eff, pre)
-	return pre, nil
+	if anyRank || p >= n/2 {
+		// Selecting most of the population saves nothing over sorting it.
+		order := rank.OrderInto(eff, ws.Ord(n))
+		if !anyRank {
+			order = order[:p]
+		}
+		return rankPass{order: order, eff: eff}, nil
+	}
+	order := rank.TopKHeapInto(eff, p, ws.Ord(p))
+	rank.SortRanked(eff, order)
+	return rankPass{order: order, eff: eff}, nil
 }
 
-// selectWS returns the top-k prefix under bonus; same aliasing rules as
-// orderWS. It routes through rankedPrefixWS, so a selection needing only
-// the leading cnt positions takes the combo-run merge or bounded-heap
-// path instead of a full sort.
+// selectWS returns the top-k prefix under bonus; the result aliases ws
+// (or the cached original order) like every rankedPassWS order.
 func (e *Evaluator) selectWS(ctx context.Context, ws *engine.Workspace, bonus []float64, k float64) ([]int, error) {
 	cnt, err := rank.SelectCount(e.d.N(), k)
 	if err != nil {
 		return nil, err
 	}
-	return e.rankedPrefixWS(ctx, ws, bonus, cnt)
+	ps, err := e.rankedPassWS(ctx, ws, bonus, cnt, false)
+	return ps.order, err
 }
 
 // Order returns the full ranking under the given bonus vector (descending
@@ -245,9 +251,13 @@ func (e *Evaluator) Order(bonus []float64) []int {
 	}
 	ws := e.ws()
 	defer e.put(ws)
-	eff := rank.EffectiveScores(e.d, e.base, e.all, bonus, e.pol, ws.Eff(e.d.N()))
-	e.rankings.Add(1)
-	return rank.OrderInto(eff, make([]int, e.d.N()))
+	ps, err := e.rankedPassWS(context.Background(), ws, bonus, e.d.N(), false)
+	if err != nil {
+		// A background context never cancels: only an injected rank.prefix
+		// fault fails the pass, and Order has no error to return it in.
+		panic(err)
+	}
+	return slices.Clone(ps.order)
 }
 
 // Select returns the top-k fraction of the population under the bonus
@@ -269,74 +279,45 @@ func (e *Evaluator) SelectCtx(ctx context.Context, bonus []float64, k float64) (
 	return out, nil
 }
 
-// disparityInto writes the full-population disparity vector of the top-k
-// selection under bonus into dst.
-func (e *Evaluator) disparityInto(ctx context.Context, ws *engine.Workspace, bonus []float64, k float64, dst []float64) error {
-	sel, err := e.selectWS(ctx, ws, bonus, k)
-	if err != nil {
-		return err
-	}
-	e.d.FairCentroidInto(sel, dst)
-	for j := range dst {
-		dst[j] -= e.centroid[j]
-	}
-	return nil
-}
-
 // Disparity returns the full-population disparity vector of the top-k
 // selection under the bonus vector.
 func (e *Evaluator) Disparity(bonus []float64, k float64) ([]float64, error) {
 	return e.DisparityCtx(context.Background(), bonus, k)
 }
 
-// DisparityCtx is Disparity with cooperative cancellation.
+// DisparityCtx is Disparity with cooperative cancellation. It, like
+// DisparateImpact and FPRDiff, evaluates the selection with the pointwise
+// metric code rather than the fold table, so the sweep and batch
+// harnesses compare the prefix folds against an independent reference.
 func (e *Evaluator) DisparityCtx(ctx context.Context, bonus []float64, k float64) ([]float64, error) {
 	ws := e.ws()
 	defer e.put(ws)
-	out := make([]float64, e.d.NumFair())
-	if err := e.disparityInto(ctx, ws, bonus, k, out); err != nil {
+	sel, err := e.selectWS(ctx, ws, bonus, k)
+	if err != nil {
 		return nil, err
+	}
+	out := make([]float64, e.d.NumFair())
+	e.d.FairCentroidInto(sel, out)
+	for j := range out {
+		out[j] -= e.centroid[j]
 	}
 	return out, nil
 }
 
-// ndcgWS computes NDCG using workspace buffers. Only the leading cut
-// positions of the compensated order contribute to the DCG sum, so the
-// order comes from rankedPrefixWS and the value from the same prefix-DCG
-// fold the sweep engine runs — bit-identical to
-// metrics.NDCGAtFrac(base, fullOrder, origOrd, k), which resolves the
-// cut through the identical metrics.PrefixCount arithmetic.
-func (e *Evaluator) ndcgWS(ctx context.Context, ws *engine.Workspace, bonus []float64, k float64) (float64, error) {
-	cut, err := metrics.PrefixCount(e.d.N(), k)
-	if err != nil {
-		return 0, err
-	}
-	order, err := e.rankedPrefixWS(ctx, ws, bonus, cut)
-	if err != nil {
-		return 0, err
-	}
-	cuts := ws.Cnts(1)
-	cuts[0] = cut
-	agg := ws.Agg(2)
-	corrected := metrics.PrefixDCGInto(e.base, order, cuts, agg[:1])
-	ideal := metrics.PrefixDCGInto(e.base, e.origOrd, cuts, agg[1:])
-	if ideal[0] == 0 {
-		return 0, metrics.ErrZeroIdealDCG
-	}
-	return corrected[0] / ideal[0], nil
-}
-
 // NDCG returns the utility of the compensated ranking at selection
-// fraction k, with the uncompensated ranking as the ideal.
+// fraction k, with the uncompensated ranking as the ideal. Only the
+// leading cut positions of the compensated order contribute to the DCG
+// sum, so the value comes from the prefix-DCG fold, bit-identical to
+// metrics.NDCGAtFrac(base, fullOrder, origOrd, k), which resolves the cut
+// through the identical metrics.PrefixCount arithmetic.
 func (e *Evaluator) NDCG(bonus []float64, k float64) (float64, error) {
 	return e.NDCGCtx(context.Background(), bonus, k)
 }
 
 // NDCGCtx is NDCG with cooperative cancellation.
 func (e *Evaluator) NDCGCtx(ctx context.Context, bonus []float64, k float64) (float64, error) {
-	ws := e.ws()
-	defer e.put(ws)
-	return e.ndcgWS(ctx, ws, bonus, k)
+	_, val, err := e.point(ctx, BatchNDCG, bonus, k)
+	return val, err
 }
 
 // LogDiscounted returns the logarithmically discounted disparity of the
@@ -344,11 +325,11 @@ func (e *Evaluator) NDCGCtx(ctx context.Context, bonus []float64, k float64) (fl
 func (e *Evaluator) LogDiscounted(bonus []float64, ld metrics.LogDiscount) ([]float64, error) {
 	ws := e.ws()
 	defer e.put(ws)
-	ord, err := e.orderWS(context.Background(), ws, bonus)
+	ps, err := e.rankedPassWS(context.Background(), ws, bonus, e.d.N(), false)
 	if err != nil {
 		return nil, err
 	}
-	return ld.Eval(e.d, ord)
+	return ld.Eval(e.d, ps.order)
 }
 
 // DisparateImpact returns the scaled disparate-impact vector of the top-k
@@ -380,15 +361,10 @@ func (e *Evaluator) FPRDiff(bonus []float64, k float64) ([]float64, error) {
 	return metrics.FPRDiffWithinInto(e.d, e.all, sel, ws.Marks(e.d.N()), out), nil
 }
 
-// parallel fans n point evaluations over the engine worker pool, each
+// parallelCtx fans n point evaluations over the engine worker pool, each
 // goroutine holding one pooled workspace for its whole share of the work.
-func (e *Evaluator) parallel(n int, fn func(ws *engine.Workspace, i int)) {
-	engine.ForEachWS(n, e.ws, e.put, fn)
-}
-
-// parallelCtx is parallel with cooperative cancellation: once ctx is
-// done, no further index is dispatched and the context's error is
-// returned after in-flight tasks finish.
+// Once ctx is done, no further index is dispatched and the context's
+// error is returned after in-flight tasks finish.
 func (e *Evaluator) parallelCtx(ctx context.Context, n int, fn func(ws *engine.Workspace, i int)) error {
 	return engine.ForEachWSCtx(ctx, n, e.ws, e.put, fn)
 }

@@ -189,11 +189,14 @@ func TestMergeCounterfactualDifferential(t *testing.T) {
 			t.Fatalf("k=%g: batch did not take the merge route", k)
 		}
 		ws := ev.ws()
-		order, err := ev.orderWS(context.Background(), ws, bonus)
+		ps, err := ev.rankedPassWS(context.Background(), ws, bonus, n, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ev.counterfactualsWS(ws, order, bonus, cnt, objs)
+		want, err := ev.counterfactualsWS(ws, ps, bonus, cnt, objs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ev.put(ws)
 		for r := range want {
 			if !reflect.DeepEqual(got[r], want[r]) {

@@ -19,22 +19,26 @@ import (
 // engine groups points by distinct bonus vector, ranks each group once,
 // and answers every k in the group from prefix aggregates of that single
 // sorted order. Only the leading maxCut positions are ever read, so each
-// group's order comes from rankedPrefixWS: the combo-run merge when
-// eligible (O(maxCut·log g), no population-wide pass at all), the
+// group's order comes from one rankedPassWS prefix: the combo-run merge
+// when eligible (O(maxCut·log g), no population-wide pass at all), the
 // bounded-heap prefix otherwise — an S-point sweep costs one prefix
 // ranking plus O(maxCut·f + S·f) per group instead of
-// S × O(n log n + n·f).
+// S × O(n log n + n·f). Every metric kind answers its cuts through one
+// fold table (foldWS), which the batch pass shares, so a kind's fold is
+// written exactly once. The pointwise Disparity, DisparateImpact and
+// FPRDiff stay on the pointwise metric code, the independent reference
+// the sweep and batch harnesses check the folds against.
 //
 // Heterogeneous sweeps (every point its own bonus) degenerate to singleton
 // groups: a prefix over one cut performs exactly the pointwise
 // computation, and the groups fan over the worker pool just as the points
 // themselves used to — the per-point path is the prefix path at S=1.
 //
-// Results are bit-identical to the pointwise evaluators (Disparity, NDCG,
-// DisparateImpact, FPRDiff): the prefix aggregates resume the same
-// left-to-right folds the pointwise metrics compute (see
-// metrics/prefix.go), and the closed-form finishers share their scalar
-// formulas with the pointwise implementations.
+// Results are bit-identical to the pointwise metrics (metrics.Centroid,
+// NDCGAtFrac, DisparateImpactWithin, FPRDiffWithin): the prefix
+// aggregates resume the same left-to-right folds the pointwise metrics
+// compute (see metrics/prefix.go), and the closed-form finishers share
+// their scalar formulas with the pointwise implementations.
 
 // SweepPoint is one (bonus vector, selection fraction) evaluation of a
 // parallel sweep.
@@ -43,14 +47,15 @@ type SweepPoint struct {
 	K     float64
 }
 
-// sweepGroup is the unit of ranking work: all sweep points that share one
-// canonical bonus vector, with their selection counts deduplicated into an
-// ascending cut grid.
+// sweepGroup is the unit of fold work: points answered from one ranked
+// order, with their cuts deduplicated into an ascending grid. A sweep
+// groups the points that share one canonical bonus vector; a batch groups
+// its queries of one metric kind.
 type sweepGroup struct {
 	bonus  []float64 // canonical: nil means the uncompensated ranking
-	pts    []int     // indices into the points slice, in point order
-	cuts   []int     // ascending unique selection counts
-	cutPos []int     // cutPos[r] locates pts[r]'s count within cuts
+	pts    []int     // indices into the points (or queries) slice, in order
+	cuts   []int     // ascending unique cuts
+	cutPos []int     // cutPos[r] locates pts[r]'s cut within cuts
 }
 
 // canonBonus maps every all-zero (or nil) bonus to nil, so that the
@@ -123,35 +128,32 @@ func (e *Evaluator) groupPoints(points []SweepPoint, count func(n int, frac floa
 			groups[g].pts = append(groups[g].pts, i)
 		}
 	}
-
 	for gi := range groups {
-		g := &groups[gi]
-		cuts := make([]int, len(g.pts))
-		for r, pi := range g.pts {
-			cuts[r] = cnts[pi]
-		}
-		sort.Ints(cuts)
-		g.cuts = slices.Compact(cuts)
-		g.cutPos = make([]int, len(g.pts))
-		for r, pi := range g.pts {
-			pos, _ := slices.BinarySearch(g.cuts, cnts[pi])
-			g.cutPos[r] = pos
-		}
+		groups[gi].setGrid(cnts)
 	}
 	return groups, nil
 }
 
-// vectorRows carves one result row per point from a single backing slice,
-// so a sweep performs two result allocations total instead of one per
-// point.
-func (e *Evaluator) vectorRows(n int) [][]float64 {
-	return e.vectorRowsW(n, e.d.NumFair())
+// setGrid deduplicates the cuts of the group's points into its ascending
+// grid and locates each point's cut within it. cutOf is indexed like the
+// group's point indices (a sweep's points, a batch's queries).
+func (g *sweepGroup) setGrid(cutOf []int) {
+	cuts := make([]int, len(g.pts))
+	for r, i := range g.pts {
+		cuts[r] = cutOf[i]
+	}
+	sort.Ints(cuts)
+	g.cuts = slices.Compact(cuts)
+	g.cutPos = make([]int, len(g.pts))
+	for r, i := range g.pts {
+		g.cutPos[r], _ = slices.BinarySearch(g.cuts, cutOf[i])
+	}
 }
 
-// vectorRowsW is vectorRows with an explicit row width: the exposure sweep
-// returns NumFair+1 entries per point (the named groups plus the
-// unprotected rest), one wider than the per-dimension default.
-func (e *Evaluator) vectorRowsW(n, w int) [][]float64 {
+// vectorRows carves n result rows of width w from a single backing slice,
+// so a sweep or batch performs two row allocations total instead of one
+// per point.
+func vectorRows(n, w int) [][]float64 {
 	backing := make([]float64, n*w)
 	out := make([][]float64, n)
 	for i := range out {
@@ -159,6 +161,237 @@ func (e *Evaluator) vectorRowsW(n, w int) [][]float64 {
 	}
 	return out
 }
+
+// metricKinds lists the kinds the fold table answers.
+var metricKinds = []BatchKind{
+	BatchDisparity, BatchNDCG, BatchDisparateImpact, BatchFPRDiff,
+	BatchExposure, BatchExpRatio, BatchTopK,
+}
+
+// checkMetric refuses a kind the fold table does not answer, or a dataset
+// that lacks what the metric needs (outcomes, binary fairness
+// attributes).
+func (e *Evaluator) checkMetric(kind BatchKind) error {
+	switch kind {
+	case BatchDisparity, BatchNDCG, BatchDisparateImpact:
+		return nil
+	case BatchFPRDiff:
+		if !e.d.HasOutcomes() {
+			return fmt.Errorf("core: FPR evaluation requires outcomes")
+		}
+		return nil
+	case BatchExposure, BatchTopK:
+		return e.exposureGuard()
+	case BatchExpRatio:
+		if err := e.exposureGuard(); err != nil {
+			return err
+		}
+		if !e.d.HasOutcomes() {
+			return fmt.Errorf("core: exposure/merit ratio requires outcomes")
+		}
+		return nil
+	}
+	return fmt.Errorf("core: kind %d is not a sweep metric", kind)
+}
+
+// metricCount is the cut arithmetic a metric kind resolves its fractions
+// through: the nDCG cut, or the selection count of every other metric.
+func metricCount(kind BatchKind) func(n int, frac float64) (int, error) {
+	if kind == BatchNDCG {
+		return metrics.PrefixCount
+	}
+	return rank.SelectCount
+}
+
+// metricWidth is the row width of a metric kind's vector answers: one
+// entry per fairness dimension, one more for exposure (the unprotected
+// rest), and none for the scalar nDCG.
+func (e *Evaluator) metricWidth(kind BatchKind) int {
+	switch kind {
+	case BatchNDCG:
+		return 0
+	case BatchExposure:
+		return e.d.NumFair() + 1
+	}
+	return e.d.NumFair()
+}
+
+// foldWS is the fold table. It answers every point of group g for one
+// metric kind from a single ranked order, resuming the kind's prefix fold
+// over g's ascending cut grid. Point i = g.pts[r] is written to vecs[i]
+// (a zeroed row of metricWidth, carved by the caller), vals[i] (the nDCG,
+// or the exposure DDP) and errs[i] (the data-dependent failures: a zero
+// ideal DCG, degenerate exposure groups). A fold's value at a cut does
+// not depend on the other cuts in the grid or on how far order runs past
+// the last one, so sweeps, batches and pointwise calls answer
+// bit-identically from any shared pass.
+func (e *Evaluator) foldWS(ws *engine.Workspace, kind BatchKind, order []int, g *sweepGroup, vecs [][]float64, vals []float64, errs []error) {
+	n, dims := e.d.N(), e.d.NumFair()
+	cuts := g.cuts
+	nc := len(cuts)
+	switch kind {
+	case BatchDisparity:
+		cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(nc*dims))
+		for r, i := range g.pts {
+			row := cent[g.cutPos[r]*dims:]
+			for j := range vecs[i] {
+				vecs[i][j] = row[j] - e.centroid[j]
+			}
+		}
+	case BatchNDCG:
+		agg := ws.Agg(2 * nc)
+		corrected := metrics.PrefixDCGInto(e.base, order, cuts, agg[:nc])
+		ideal := metrics.PrefixDCGInto(e.base, e.origOrd, cuts, agg[nc:])
+		for r, i := range g.pts {
+			c := g.cutPos[r]
+			if ideal[c] == 0 {
+				errs[i] = metrics.ErrZeroIdealDCG
+				continue
+			}
+			vals[i] = corrected[c] / ideal[c]
+		}
+	case BatchDisparateImpact:
+		counts := metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(nc*dims))
+		for r, i := range g.pts {
+			c := g.cutPos[r]
+			row, sel := counts[c*dims:], cuts[c]
+			for j := range vecs[i] {
+				vecs[i][j] = metrics.ImpactFromCounts(row[j], e.groupTot[j], sel-row[j], n-e.groupTot[j])
+			}
+		}
+	case BatchFPRDiff:
+		cnts := ws.Cnts(nc*dims + nc)
+		rows, all := cnts[:nc*dims], cnts[nc*dims:]
+		metrics.PrefixFPCountsInto(e.d, order, cuts, rows, all)
+		if e.negAll == 0 {
+			return // every row stays zero
+		}
+		for r, i := range g.pts {
+			c := g.cutPos[r]
+			overall := float64(all[c]) / float64(e.negAll)
+			row := rows[c*dims:]
+			for j := range vecs[i] {
+				if e.negTot[j] != 0 {
+					vecs[i][j] = float64(row[j])/float64(e.negTot[j]) - overall
+				}
+			}
+		}
+	case BatchExposure:
+		gw := dims + 1
+		expo := metrics.PrefixExposureInto(e.d, order, cuts, ws.PopN(gw), ws.Agg(nc*gw))
+		sizes := metrics.PrefixExposureCountsInto(e.d, order, cuts, ws.Cnts(nc*gw))
+		for r, i := range g.pts {
+			c := g.cutPos[r]
+			row, szs := expo[c*gw:(c+1)*gw], sizes[c*gw:(c+1)*gw]
+			ddp, err := metrics.DDPFromExposure(row, szs)
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			metrics.ExposurePerCapitaInto(row, szs, vecs[i])
+			vals[i] = ddp
+		}
+	case BatchExpRatio:
+		gw := dims + 1
+		expo := metrics.PrefixExposureInto(e.d, order, cuts, ws.PopN(gw), ws.Agg(nc*gw))
+		counts := metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(nc*dims))
+		for r, i := range g.pts {
+			c := g.cutPos[r]
+			erow, crow := expo[c*gw:], counts[c*dims:]
+			for j := range vecs[i] {
+				vecs[i][j] = metrics.ExpRatioFromCounts(erow[j], crow[j], e.groupTot[j]-e.negTot[j], e.groupTot[j])
+			}
+		}
+	case BatchTopK:
+		counts := metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(nc*dims))
+		for r, i := range g.pts {
+			c := g.cutPos[r]
+			row, sel := counts[c*dims:], cuts[c]
+			for j := range vecs[i] {
+				vecs[i][j] = metrics.TopKFromCounts(row[j], sel, e.groupTot[j], n)
+			}
+		}
+	}
+}
+
+// Sweep evaluates one metric kind at every sweep point and returns the
+// answers in point order: vecs holds the vector rows (nil for the scalar
+// BatchNDCG), vals the nDCG values or, for BatchExposure, each row's DDP
+// (nil for the other kinds). Points sharing a canonical bonus vector are
+// ranked once and answered from prefix aggregates of that one order;
+// distinct bonus vectors fan over the worker pool. A point whose fold
+// fails (a zero ideal DCG, degenerate exposure groups) fails the sweep,
+// wrapped with the point's index and fraction. Once ctx is done no further
+// bonus group is ranked and the context's error is returned; no partial
+// result escapes.
+func (e *Evaluator) Sweep(ctx context.Context, kind BatchKind, points []SweepPoint) (vecs [][]float64, vals []float64, err error) {
+	if err := e.checkMetric(kind); err != nil {
+		return nil, nil, err
+	}
+	groups, err := e.groupPoints(points, metricCount(kind))
+	if err != nil {
+		return nil, nil, err
+	}
+	if w := e.metricWidth(kind); w > 0 {
+		vecs = vectorRows(len(points), w)
+	}
+	if kind == BatchNDCG || kind == BatchExposure {
+		vals = make([]float64, len(points))
+	}
+	errs := make([]error, len(points))
+	gerrs := make([]error, len(groups))
+	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, gi int) {
+		gr := &groups[gi]
+		ps, err := e.rankedPassWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1], false)
+		if err != nil {
+			gerrs[gi] = err
+			return
+		}
+		e.foldWS(ws, kind, ps.order, gr, vecs, vals, errs)
+	})
+	if err := firstErr(perr, gerrs); err != nil {
+		return nil, nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: sweep point %d (k=%g): %w", i, points[i].K, err)
+		}
+	}
+	return vecs, vals, nil
+}
+
+// point answers one (bonus, k) point of a metric kind through the fold
+// table, failing with unwrapped errors. NDCG and the exposure family,
+// whose pointwise form is a one-cut prefix fold, answer through it.
+func (e *Evaluator) point(ctx context.Context, kind BatchKind, bonus []float64, k float64) ([]float64, float64, error) {
+	if err := e.checkMetric(kind); err != nil {
+		return nil, 0, err
+	}
+	cut, err := metricCount(kind)(e.d.N(), k)
+	if err != nil {
+		return nil, 0, err
+	}
+	ws := e.ws()
+	defer e.put(ws)
+	ps, err := e.rankedPassWS(ctx, ws, bonus, cut, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	g := sweepGroup{pts: []int{0}, cuts: []int{cut}, cutPos: []int{0}}
+	vecs, vals, errs := [][]float64{nil}, []float64{0}, []error{nil}
+	if w := e.metricWidth(kind); w > 0 {
+		vecs[0] = make([]float64, w)
+	}
+	e.foldWS(ws, kind, ps.order, &g, vecs, vals, errs)
+	if errs[0] != nil {
+		return nil, 0, errs[0]
+	}
+	return vecs[0], vals[0], nil
+}
+
+// vecsOf and valsOf project Sweep's answers for the named sweeps.
+func vecsOf(vecs [][]float64, _ []float64, err error) ([][]float64, error) { return vecs, err }
+func valsOf(_ [][]float64, vals []float64, err error) ([]float64, error)   { return vals, err }
 
 // DisparitySweep evaluates the full-population disparity of every sweep
 // point and returns the vectors in point order. Points sharing a bonus
@@ -172,33 +405,7 @@ func (e *Evaluator) DisparitySweep(points []SweepPoint) ([][]float64, error) {
 // ctx is done, no further bonus group is ranked and the context's error is
 // returned; no partial result escapes.
 func (e *Evaluator) DisparitySweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
-	groups, err := e.groupPoints(points, rank.SelectCount)
-	if err != nil {
-		return nil, err
-	}
-	dims := e.d.NumFair()
-	out := e.vectorRows(len(points))
-	gerrs := make([]error, len(groups))
-	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, g int) {
-		gr := &groups[g]
-		order, err := e.rankedPrefixWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1])
-		if err != nil {
-			gerrs[g] = err
-			return
-		}
-		cent := metrics.PrefixCentroidInto(e.d, order, gr.cuts, ws.Pop(), ws.Agg(len(gr.cuts)*dims))
-		for r, pi := range gr.pts {
-			row := cent[gr.cutPos[r]*dims : (gr.cutPos[r]+1)*dims]
-			dst := out[pi]
-			for j := range dst {
-				dst[j] = row[j] - e.centroid[j]
-			}
-		}
-	})
-	if err := firstErr(perr, gerrs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return vecsOf(e.Sweep(ctx, BatchDisparity, points))
 }
 
 // NDCGSweep evaluates the nDCG of every sweep point and returns the values
@@ -210,42 +417,7 @@ func (e *Evaluator) NDCGSweep(points []SweepPoint) ([]float64, error) {
 
 // NDCGSweepCtx is NDCGSweep with cooperative cancellation.
 func (e *Evaluator) NDCGSweepCtx(ctx context.Context, points []SweepPoint) ([]float64, error) {
-	groups, err := e.groupPoints(points, metrics.PrefixCount)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(points))
-	errs := make([]error, len(points))
-	gerrs := make([]error, len(groups))
-	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, g int) {
-		gr := &groups[g]
-		order, err := e.rankedPrefixWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1])
-		if err != nil {
-			gerrs[g] = err
-			return
-		}
-		nc := len(gr.cuts)
-		agg := ws.Agg(2 * nc)
-		corrected := metrics.PrefixDCGInto(e.base, order, gr.cuts, agg[:nc])
-		ideal := metrics.PrefixDCGInto(e.base, e.origOrd, gr.cuts, agg[nc:])
-		for r, pi := range gr.pts {
-			c := gr.cutPos[r]
-			if ideal[c] == 0 {
-				errs[pi] = metrics.ErrZeroIdealDCG
-				continue
-			}
-			out[pi] = corrected[c] / ideal[c]
-		}
-	})
-	if err := firstErr(perr, gerrs); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep point %d (k=%g): %w", i, points[i].K, err)
-		}
-	}
-	return out, nil
+	return valsOf(e.Sweep(ctx, BatchNDCG, points))
 }
 
 // DisparateImpactSweep evaluates the scaled disparate impact of every
@@ -259,36 +431,7 @@ func (e *Evaluator) DisparateImpactSweep(points []SweepPoint) ([][]float64, erro
 // DisparateImpactSweepCtx is DisparateImpactSweep with cooperative
 // cancellation.
 func (e *Evaluator) DisparateImpactSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
-	groups, err := e.groupPoints(points, rank.SelectCount)
-	if err != nil {
-		return nil, err
-	}
-	dims := e.d.NumFair()
-	n := e.d.N()
-	out := e.vectorRows(len(points))
-	gerrs := make([]error, len(groups))
-	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, g int) {
-		gr := &groups[g]
-		order, err := e.rankedPrefixWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1])
-		if err != nil {
-			gerrs[g] = err
-			return
-		}
-		counts := metrics.PrefixGroupCountsInto(e.d, order, gr.cuts, ws.Cnts(len(gr.cuts)*dims))
-		for r, pi := range gr.pts {
-			c := gr.cutPos[r]
-			row := counts[c*dims : (c+1)*dims]
-			sel := gr.cuts[c]
-			dst := out[pi]
-			for j := range dst {
-				dst[j] = metrics.ImpactFromCounts(row[j], e.groupTot[j], sel-row[j], n-e.groupTot[j])
-			}
-		}
-	})
-	if err := firstErr(perr, gerrs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return vecsOf(e.Sweep(ctx, BatchDisparateImpact, points))
 }
 
 // FPRDiffSweep evaluates the per-group false-positive-rate difference of
@@ -302,51 +445,7 @@ func (e *Evaluator) FPRDiffSweep(points []SweepPoint) ([][]float64, error) {
 
 // FPRDiffSweepCtx is FPRDiffSweep with cooperative cancellation.
 func (e *Evaluator) FPRDiffSweepCtx(ctx context.Context, points []SweepPoint) ([][]float64, error) {
-	if !e.d.HasOutcomes() {
-		return nil, fmt.Errorf("core: FPR evaluation requires outcomes")
-	}
-	groups, err := e.groupPoints(points, rank.SelectCount)
-	if err != nil {
-		return nil, err
-	}
-	dims := e.d.NumFair()
-	out := e.vectorRows(len(points))
-	gerrs := make([]error, len(groups))
-	perr := e.parallelCtx(ctx, len(groups), func(ws *engine.Workspace, g int) {
-		gr := &groups[g]
-		order, err := e.rankedPrefixWS(ctx, ws, gr.bonus, gr.cuts[len(gr.cuts)-1])
-		if err != nil {
-			gerrs[g] = err
-			return
-		}
-		nc := len(gr.cuts)
-		cnts := ws.Cnts(nc*dims + nc)
-		rows, all := cnts[:nc*dims], cnts[nc*dims:]
-		metrics.PrefixFPCountsInto(e.d, order, gr.cuts, rows, all)
-		for r, pi := range gr.pts {
-			c := gr.cutPos[r]
-			dst := out[pi]
-			if e.negAll == 0 {
-				for j := range dst {
-					dst[j] = 0
-				}
-				continue
-			}
-			overall := float64(all[c]) / float64(e.negAll)
-			row := rows[c*dims : (c+1)*dims]
-			for j := range dst {
-				if e.negTot[j] == 0 {
-					dst[j] = 0
-					continue
-				}
-				dst[j] = float64(row[j])/float64(e.negTot[j]) - overall
-			}
-		}
-	})
-	if err := firstErr(perr, gerrs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return vecsOf(e.Sweep(ctx, BatchFPRDiff, points))
 }
 
 // firstErr merges the pool-level cancellation error with the per-group

@@ -21,9 +21,10 @@ const (
 	// SiteTrainerAcquire fires inside Entry.acquire before a trainer
 	// slot is claimed; an injected error simulates pool exhaustion.
 	SiteTrainerAcquire = "trainer.acquire"
-	// SiteRankPrefix fires inside Evaluator.rankedPrefixWS on the
-	// non-zero-bonus path; an injected delay simulates a slow ranking
-	// pass under every sweep, bundle, and counterfactual workload.
+	// SiteRankPrefix fires inside Evaluator.rankedPassWS, the single
+	// ranking seam, on every non-zero-bonus pass; an injected delay
+	// simulates a slow ranking pass under every sweep, batch, bundle,
+	// counterfactual, and pointwise workload.
 	SiteRankPrefix = "rank.prefix"
 	// SiteBatcherFlush fires at the head of a micro-batch flush, before
 	// the shared pass runs: an injected error fails every member with it,

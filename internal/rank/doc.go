@@ -2,8 +2,8 @@
 // ranking functions over score attributes (Definition 1), bonus-point
 // application (Definition 2) with support for adverse selections where a
 // lower score is desirable (the COMPAS scenario), and top-k% selection with
-// three interchangeable algorithms (full sort, quickselect, bounded heap)
-// for the selection-strategy ablation.
+// two interchangeable algorithms (full sort, bounded heap) for the
+// selection-strategy ablation.
 //
 // On top of the per-request selectors sits ComboRuns, the combo-run merge
 // structure: the population is partitioned once by distinct fairness-

@@ -231,58 +231,6 @@ func TopK(scores []float64, k int) []int {
 	return Order(scores)[:k]
 }
 
-// TopKQuickselect returns the indices of the k highest-scoring items in
-// unspecified order, using iterative Hoare partitioning around a
-// median-of-three pivot. Expected O(n) time; membership is identical to
-// TopK's first k elements.
-func TopKQuickselect(scores []float64, k int) []int {
-	checkK(len(scores), k)
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	lo, hi := 0, len(idx)-1
-	for lo < hi {
-		p := partition(scores, idx, lo, hi)
-		switch {
-		case p == k-1:
-			lo = hi // done
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-	return idx[:k]
-}
-
-// partition uses a median-of-three pivot and places it at its final
-// position in descending rank order, returning that position.
-func partition(scores []float64, idx []int, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// Order lo, mid, hi descending so the median lands at mid.
-	if higher(scores, idx[mid], idx[lo]) {
-		idx[lo], idx[mid] = idx[mid], idx[lo]
-	}
-	if higher(scores, idx[hi], idx[lo]) {
-		idx[lo], idx[hi] = idx[hi], idx[lo]
-	}
-	if higher(scores, idx[hi], idx[mid]) {
-		idx[mid], idx[hi] = idx[hi], idx[mid]
-	}
-	idx[mid], idx[hi] = idx[hi], idx[mid] // stash pivot at hi
-	pivot := idx[hi]
-	store := lo
-	for i := lo; i < hi; i++ {
-		if higher(scores, idx[i], pivot) {
-			idx[store], idx[i] = idx[i], idx[store]
-			store++
-		}
-	}
-	idx[store], idx[hi] = idx[hi], idx[store]
-	return store
-}
-
 // TopKHeap returns the indices of the k highest-scoring items in
 // unspecified order using a bounded min-heap: O(n log k) time, O(k) space.
 // Membership is identical to TopK's first k elements.

@@ -138,12 +138,10 @@ func TestTopKVariantsAgreeOnMembership(t *testing.T) {
 		}
 		k := rng.Intn(n + 1)
 		ref := append([]int(nil), TopK(scores, k)...)
-		qs := append([]int(nil), TopKQuickselect(scores, k)...)
 		hp := append([]int(nil), TopKHeap(scores, k)...)
 		sort.Ints(ref)
-		sort.Ints(qs)
 		sort.Ints(hp)
-		return reflect.DeepEqual(ref, qs) && reflect.DeepEqual(ref, hp)
+		return reflect.DeepEqual(ref, hp)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

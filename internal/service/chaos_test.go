@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,6 +75,38 @@ func TestFaultSlowRankHitsDeadline(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("504 took %v; the deadline must cut the injected 10s delay short", elapsed)
+	}
+}
+
+// TestFaultRankPrefixFailsUnbatchedCounterfactual: with batching off, a
+// counterfactual request ranks through the same seam as every other
+// workload, so an error injected at rank.prefix fails it with the
+// declared status and leaves every per-object cache key cold; once the
+// fault is spent the same request computes and caches its objects.
+func TestFaultRankPrefixFailsUnbatchedCounterfactual(t *testing.T) {
+	s := chaosServer(t, Config{})
+	h := s.Handler()
+	body := []byte(`{"dataset":"school","k":0.05,"bonus":[1,11.5,12,12],"objects":[0,7,99]}`)
+	faultinject.Set(faultinject.SiteRankPrefix, faultinject.Fault{Err: errors.New("injected rank failure"), Count: 1})
+	w := doRequest(h, httptest.NewRequest("POST", "/v1/counterfactual", bytes.NewReader(body)))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("counterfactual under an injected rank.prefix error answered %d (%s), want 400", w.Code, w.Body)
+	}
+	if !strings.Contains(w.Body.String(), "injected rank failure") {
+		t.Errorf("error body %q does not carry the injected error", w.Body)
+	}
+	if got := faultinject.Fired(faultinject.SiteRankPrefix); got != 1 {
+		t.Fatalf("rank.prefix fired %d times, want 1", got)
+	}
+	if got := s.cache.len(); got != 0 {
+		t.Fatalf("failed counterfactual left %d cache entries; every object key must stay cold", got)
+	}
+	w = doRequest(h, httptest.NewRequest("POST", "/v1/counterfactual", bytes.NewReader(body)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("counterfactual after the fault spent = %d (%s)", w.Code, w.Body)
+	}
+	if got := s.cache.len(); got != 3 {
+		t.Errorf("clean retry cached %d objects, want 3", got)
 	}
 }
 

@@ -335,26 +335,7 @@ func (s *Server) evaluateSweep(ctx context.Context, e *Entry, req EvaluateReques
 			// request on the same (dataset, bonus).
 			vecs, vals, err = s.batchSweep(ctx, e, req.Metric, bonus, pts)
 		} else {
-			switch req.Metric {
-			case "disparity":
-				vecs, err = e.eval.DisparitySweepCtx(ctx, pts)
-			case "di":
-				vecs, err = e.eval.DisparateImpactSweepCtx(ctx, pts)
-			case "fpr":
-				vecs, err = e.eval.FPRDiffSweepCtx(ctx, pts)
-			case "ndcg":
-				vals, err = e.eval.NDCGSweepCtx(ctx, pts)
-			case "exposure":
-				vecs, err = e.eval.ExposureSweepCtx(ctx, pts)
-			case "expratio":
-				vecs, err = e.eval.ExpRatioSweepCtx(ctx, pts)
-			case "topk":
-				vecs, err = e.eval.TopKSweepCtx(ctx, pts)
-			default:
-				// Registry row without a sweep arm: a wiring bug, not a
-				// user error. Refuse instead of serving the wrong metric.
-				err = fmt.Errorf("metric %q has no sweep dispatch", req.Metric)
-			}
+			vecs, vals, err = e.eval.Sweep(ctx, spec.kind, pts)
 		}
 		if err != nil {
 			// Nothing is cached on failure: rows reach the LRU only below,

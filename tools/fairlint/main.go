@@ -3,7 +3,7 @@
 //
 //	rankonce    — no ad-hoc sorting/heap selection in exactness-pinned
 //	              packages; rankings flow through internal/rank via the
-//	              single Evaluator.rankedPrefixWS seam.
+//	              single Evaluator.rankedPassWS seam.
 //	intoalloc   — *Into functions allocate nothing (the zero-allocation
 //	              naming contract behind the AllocsPerRun assertions).
 //	determinism — exactness-pinned packages stay bit-reproducible: no

@@ -9,7 +9,7 @@ import (
 
 func TestRankOnce(t *testing.T) {
 	antest.Run(t, "testdata", rankonce.Analyzer,
-		"example.com/internal/core",
 		"example.com/internal/rank",
+		"example.com/internal/core",
 	)
 }
