@@ -124,10 +124,10 @@ func benchTrainEnsemble(b *testing.B, n, runs int) {
 func BenchmarkTrainSchoolEnsemble8(b *testing.B)  { benchTrainEnsemble(b, 20_000, 8) }
 func BenchmarkTrainSchoolEnsemble32(b *testing.B) { benchTrainEnsemble(b, 20_000, 32) }
 
-// Selection-strategy ablation: full sort vs quickselect vs bounded heap
-// for the top-5% selection (DESIGN.md `ablation-select`).
+// Bounded-heap top-5% selection, the ranked-prefix route of a cold
+// request that the combo-run merge does not answer.
 
-func benchSelect(b *testing.B, n int, pick func(scores []float64, k int) []int) {
+func benchSelect(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(7))
 	scores := make([]float64, n)
 	for i := range scores {
@@ -137,16 +137,14 @@ func benchSelect(b *testing.B, n int, pick func(scores []float64, k int) []int) 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := pick(scores, k); len(got) != k {
+		if got := rank.TopKHeap(scores, k); len(got) != k {
 			b.Fatalf("selected %d, want %d", len(got), k)
 		}
 	}
 }
 
-func BenchmarkSelectSort10k(b *testing.B)  { benchSelect(b, 10_000, rank.TopK) }
-func BenchmarkSelectHeap10k(b *testing.B)  { benchSelect(b, 10_000, rank.TopKHeap) }
-func BenchmarkSelectSort100k(b *testing.B) { benchSelect(b, 100_000, rank.TopK) }
-func BenchmarkSelectHeap100k(b *testing.B) { benchSelect(b, 100_000, rank.TopKHeap) }
+func BenchmarkSelectHeap10k(b *testing.B)  { benchSelect(b, 10_000) }
+func BenchmarkSelectHeap100k(b *testing.B) { benchSelect(b, 100_000) }
 
 // Objective evaluation cost per DCA step (sample of 500, k=5%).
 

@@ -343,8 +343,9 @@ func (e *Evaluator) leaveOneOutWS(ctx context.Context, ws *engine.Workspace, vec
 }
 
 // bundleFromShared computes one bundle's every shared-order quantity from
-// the batch pass: cutoff, group counts, disparity norms, nDCG, FPR
-// differences, exposure rows, beneficiary sets, and the counterfactual
+// the batch pass: the selection side (cutoffs, group counts, beneficiary
+// sets) through explainWS, the finisher Explain uses, then disparity
+// norms, nDCG, FPR differences, exposure rows and the counterfactual
 // margin window, plus the base-order side off the cached uncompensated
 // ranking. The pass must cover the bundle's geometry cut. The
 // leave-one-out attribution is left to answerBatch. The only failures
@@ -353,24 +354,13 @@ func (e *Evaluator) leaveOneOutWS(ctx context.Context, ws *engine.Workspace, vec
 func (e *Evaluator) bundleFromShared(ws *engine.Workspace, ps rankPass, bonus []float64, cfg *BundleStatsConfig, g batchGeom) (*BundleStats, error) {
 	dims := e.d.NumFair()
 	cnt, order := g.cnt, ps.order
-	// The Bonus copy is always dims long (a nil config bonus means the
-	// zero vector), so every per-dimension slice in the result is
-	// aligned — consumers like report.FromStats index them in lockstep.
 	st := &BundleStats{
-		K:               cfg.K,
-		Selected:        cnt,
-		FairNames:       e.d.FairNames(),
-		Bonus:           make([]float64, dims),
-		GroupCounts:     make([]int, dims),
-		BaseGroupCounts: make([]int, dims),
-		LeaveOneOut:     make([]float64, dims),
-		Contribution:    make([]float64, dims),
+		Explanation:  e.explainWS(ws, ps, cfg.Bonus, cfg.K, cnt),
+		LeaveOneOut:  make([]float64, dims),
+		Contribution: make([]float64, dims),
 	}
-	copy(st.Bonus, cfg.Bonus)
-	st.Cutoff = ps.eff[order[cnt-1]]
 
 	cuts := []int{cnt}
-	copy(st.GroupCounts, metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(dims)))
 	cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(dims))
 	st.NormAfter = normAgainst(cent, e.centroid)
 
@@ -406,28 +396,6 @@ func (e *Evaluator) bundleFromShared(ws *engine.Workspace, ps rankPass, bonus []
 		}
 	}
 
-	// Beneficiary sets: symmetric difference of the two selections via
-	// the membership-mark buffer (reset to all-false on every path).
-	marks := ws.Marks(e.d.N())
-	for _, o := range e.origOrd[:cnt] {
-		marks[o] = true
-	}
-	for _, o := range order[:cnt] {
-		if marks[o] {
-			marks[o] = false
-		} else {
-			st.AdmittedByBonus = append(st.AdmittedByBonus, o)
-		}
-	}
-	for _, o := range e.origOrd[:cnt] {
-		if marks[o] {
-			st.DisplacedByBonus = append(st.DisplacedByBonus, o)
-			marks[o] = false
-		}
-	}
-	sort.Ints(st.AdmittedByBonus)
-	sort.Ints(st.DisplacedByBonus)
-
 	if cfg.Margins > 0 {
 		lo := max(cnt-cfg.Margins, 0)
 		hi := min(cnt+cfg.Margins, e.d.N())
@@ -438,8 +406,6 @@ func (e *Evaluator) bundleFromShared(ws *engine.Workspace, ps rankPass, bonus []
 	}
 
 	// Base-order side: free off the cached uncompensated ranking.
-	st.BaseCutoff = e.base[e.origOrd[cnt-1]]
-	copy(st.BaseGroupCounts, metrics.PrefixGroupCountsInto(e.d, e.origOrd, cuts, ws.Cnts(dims)))
 	bcent := metrics.PrefixCentroidInto(e.d, e.origOrd, cuts, ws.Pop(), ws.Agg(dims))
 	st.NormBefore = normAgainst(bcent, e.centroid)
 	if cfg.IncludeExposure {

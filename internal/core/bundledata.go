@@ -18,20 +18,25 @@ import (
 // compensated order once, reuses the cached uncompensated order for the
 // base side, folds the leave-one-attribute-out attribution's extra
 // vectors into the same fan-out, and answers everything else from prefix
-// aggregates of those shared orders (metrics.PrefixCentroid /
-// PrefixGroupCounts / PrefixFPCounts / PrefixDCG): a cold audit bundle
-// costs at most dims+1 ranking passes instead of the ~dims+5 the
-// one-metric-at-a-time evaluators pay, and — since only the leading
+// aggregates of those shared orders (metrics.PrefixCentroidInto /
+// PrefixGroupCountsInto / PrefixFPCountsInto / PrefixDCGInto): a cold
+// audit bundle costs at most dims+1 ranking passes instead of the ~dims+5
+// the one-metric-at-a-time evaluators pay, and — since only the leading
 // cnt+margins positions of each order are ever read — each pass is a
-// bounded-heap prefix selection (O(n log p)), not a full sort.
+// bounded-heap prefix selection (O(n log p)), not a full sort. The
+// selection side is explainWS, the finisher Explain itself runs, so a
+// bundle's embedded Explanation is the report Explain publishes.
 //
-// Results are bit-identical to the independent pointwise evaluators
-// (Explain, AttributeDisparity, NDCG, FPRDiff, CounterfactualWindow):
-// the prefix aggregates resume the same left-to-right folds, the prefix
-// selection reproduces the full sort's leading segment exactly (the
-// comparator is a total order), and the scalar finishers share their
-// formulas with the pointwise implementations. See
-// TestBundleStatsDifferential and TestBundleStatsProperty.
+// Results are bit-identical to independent references: the selection
+// side to internal/oracle, which ranks by Definition 2 with a plain
+// stable sort and shares no code with the engine, and the rest to the
+// pointwise evaluators (AttributeDisparity, NDCG, FPRDiff,
+// CounterfactualBatch). The prefix aggregates resume the same
+// left-to-right folds, the prefix selection reproduces the full sort's
+// leading segment exactly (the comparator is a total order), and the
+// scalar finishers share their formulas with the pointwise
+// implementations. See TestBundleStatsDifferential and
+// TestBundleStatsProperty.
 
 // BundleStatsConfig parameterizes one BundleStats pass.
 type BundleStatsConfig struct {
@@ -59,31 +64,11 @@ type BundleStatsConfig struct {
 // It is the data layer of report.BuildBundle; the service layer also
 // reuses its Margins to answer per-object counterfactual requests.
 type BundleStats struct {
-	// K is the audited selection fraction; Selected the resulting count.
-	K        float64
-	Selected int
-
-	// Cutoff is the effective score of the last selected object under the
-	// policy; BaseCutoff the same for the uncompensated ranking.
-	Cutoff     float64
-	BaseCutoff float64
-
-	// FairNames are the fairness attribute names; Bonus the audited vector
-	// (copied), aligned with every per-dimension slice below.
-	FairNames []string
-	Bonus     []float64
-
-	// GroupCounts[j] counts selected members of binary fairness attribute
-	// j (value > 0.5) under the policy; BaseGroupCounts is the same for
-	// the uncompensated selection.
-	GroupCounts     []int
-	BaseGroupCounts []int
-
-	// AdmittedByBonus lists objects selected under the policy but not in
-	// the uncompensated selection, ascending; DisplacedByBonus the
-	// reverse.
-	AdmittedByBonus  []int
-	DisplacedByBonus []int
+	// Explanation is the selection side, the report Explain publishes:
+	// K, Selected, the cutoffs, the (copied, NumFair-long) Bonus with its
+	// FairNames, the group counts and the beneficiary sets. Every
+	// per-dimension slice below is aligned with Bonus.
+	Explanation
 
 	// NormBefore/NormAfter are the disparity norms without and with the
 	// policy; Reduction their difference. LeaveOneOut[j] is the norm with

@@ -55,10 +55,12 @@ func bundleCohort(t testing.TB, rng *rand.Rand, n, dims int, outcomes, ties, sin
 }
 
 // checkBundleStatsAgainstPointwise asserts, field by field and bit for
-// bit, that one BundleStats pass agrees with the independent pointwise
-// evaluators it replaces: Explain, AttributeDisparity, NDCG, FPRDiff,
-// and CounterfactualBatch over the boundary window of the full sorted
-// order. Any float compared here is compared with ==; "close" is a bug.
+// bit, that one BundleStats pass agrees with independent references: the
+// selection side (cutoffs, group counts, beneficiary sets) with
+// internal/oracle, which shares no code with the engine, and the rest
+// with the pointwise evaluators AttributeDisparity, NDCG, FPRDiff and
+// CounterfactualBatch over the boundary window of the full sorted order.
+// Any float compared here is compared with ==; "close" is a bug.
 func checkBundleStatsAgainstPointwise(t *testing.T, ev *Evaluator, cfg BundleStatsConfig) {
 	t.Helper()
 	st, err := ev.BundleStats(cfg)
@@ -66,21 +68,18 @@ func checkBundleStatsAgainstPointwise(t *testing.T, ev *Evaluator, cfg BundleSta
 		t.Fatalf("BundleStats(%+v): %v", cfg, err)
 	}
 
-	exp, err := ev.Explain(cfg.Bonus, cfg.K)
-	if err != nil {
-		t.Fatal(err)
+	ref := oracleReport(ev, cfg.Bonus, cfg.K)
+	if st.Selected != ref.Selected || st.Cutoff != ref.Cutoff || st.BaseCutoff != ref.BaseCutoff {
+		t.Errorf("cutoffs: stats (%d %v %v) vs oracle (%d %v %v)",
+			st.Selected, st.Cutoff, st.BaseCutoff, ref.Selected, ref.Cutoff, ref.BaseCutoff)
 	}
-	if st.Selected != exp.Selected || st.Cutoff != exp.Cutoff || st.BaseCutoff != exp.BaseCutoff {
-		t.Errorf("cutoffs: stats (%d %v %v) vs Explain (%d %v %v)",
-			st.Selected, st.Cutoff, st.BaseCutoff, exp.Selected, exp.Cutoff, exp.BaseCutoff)
+	if !slices.Equal(st.GroupCounts, ref.GroupCounts) || !slices.Equal(st.BaseGroupCounts, ref.BaseGroupCounts) {
+		t.Errorf("group counts: stats %v/%v vs oracle %v/%v",
+			st.GroupCounts, st.BaseGroupCounts, ref.GroupCounts, ref.BaseGroupCounts)
 	}
-	if !slices.Equal(st.GroupCounts, exp.GroupCounts) || !slices.Equal(st.BaseGroupCounts, exp.BaseGroupCounts) {
-		t.Errorf("group counts: stats %v/%v vs Explain %v/%v",
-			st.GroupCounts, st.BaseGroupCounts, exp.GroupCounts, exp.BaseGroupCounts)
-	}
-	if !slices.Equal(st.AdmittedByBonus, exp.AdmittedByBonus) || !slices.Equal(st.DisplacedByBonus, exp.DisplacedByBonus) {
-		t.Errorf("beneficiary sets: stats %v/%v vs Explain %v/%v",
-			st.AdmittedByBonus, st.DisplacedByBonus, exp.AdmittedByBonus, exp.DisplacedByBonus)
+	if !slices.Equal(st.AdmittedByBonus, ref.Admitted) || !slices.Equal(st.DisplacedByBonus, ref.Displaced) {
+		t.Errorf("beneficiary sets: stats %v/%v vs oracle %v/%v",
+			st.AdmittedByBonus, st.DisplacedByBonus, ref.Admitted, ref.Displaced)
 	}
 
 	att, err := ev.AttributeDisparity(cfg.Bonus, cfg.K)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 
+	"fairrank/internal/engine"
+	"fairrank/internal/metrics"
 	"fairrank/internal/rank"
 )
 
@@ -39,6 +41,10 @@ type Explanation struct {
 	// uncompensated selection.
 	GroupCounts     []int
 	BaseGroupCounts []int
+
+	// last is the id of the last selected object. With the cutoff it
+	// places any object tied at the cutoff, by the ranking's own rule.
+	last int
 }
 
 // ObjectExplanation breaks one object's effective score into its published
@@ -63,70 +69,84 @@ func (e *Evaluator) Explain(bonus []float64, k float64) (*Explanation, error) {
 	return e.ExplainCtx(context.Background(), bonus, k)
 }
 
-// ExplainCtx is Explain with cooperative cancellation: each of the two
-// selections behind the report polls ctx before its ranking pass.
+// ExplainCtx is Explain with cooperative cancellation. The report costs
+// one ranked prefix of the selection's length, which observes ctx as
+// rankedPassWS does; the uncompensated side reads the cached base order.
 func (e *Evaluator) ExplainCtx(ctx context.Context, bonus []float64, k float64) (*Explanation, error) {
-	selWith, err := e.SelectCtx(ctx, bonus, k)
+	if err := e.checkBonusDims(bonus); err != nil {
+		return nil, err
+	}
+	if e.d.N() == 0 {
+		return nil, fmt.Errorf("core: cannot explain an empty dataset")
+	}
+	cnt, err := rank.SelectCount(e.d.N(), k)
 	if err != nil {
 		return nil, err
 	}
-	selBase, err := e.SelectCtx(ctx, nil, k)
+	ws := e.ws()
+	defer e.put(ws)
+	ps, err := e.rankedPassWS(ctx, ws, bonus, cnt, false)
 	if err != nil {
 		return nil, err
 	}
-	eff := rank.EffectiveScoresAll(e.d, e.base, bonus, e.pol, nil)
+	exp := e.explainWS(ws, ps, bonus, k, cnt)
+	return &exp, nil
+}
 
-	exp := &Explanation{
-		K:         k,
-		Selected:  len(selWith),
-		Bonus:     append([]float64(nil), bonus...),
-		FairNames: e.d.FairNames(),
+// explainWS is the selection-side finisher Explain and BundleStats share:
+// the cutoffs, group counts and beneficiary sets of the top-cnt prefix of
+// ps against the cached uncompensated order. The pass must cover cnt
+// positions. bonus is only copied, into a NumFair-long slice (nil means
+// the zero vector), so every per-dimension slice is aligned — consumers
+// like Summary and report.FromStats index them in lockstep. Nothing in
+// the result aliases ws.
+func (e *Evaluator) explainWS(ws *engine.Workspace, ps rankPass, bonus []float64, k float64, cnt int) Explanation {
+	dims := e.d.NumFair()
+	order, base := ps.order[:cnt], e.origOrd[:cnt]
+	exp := Explanation{
+		K:               k,
+		Selected:        cnt,
+		Cutoff:          ps.eff[order[cnt-1]],
+		BaseCutoff:      e.base[base[cnt-1]],
+		Bonus:           make([]float64, dims),
+		FairNames:       e.d.FairNames(),
+		GroupCounts:     make([]int, dims),
+		BaseGroupCounts: make([]int, dims),
+		last:            order[cnt-1],
 	}
-	exp.Cutoff = eff[selWith[len(selWith)-1]]
-	exp.BaseCutoff = e.base[selBase[len(selBase)-1]]
+	copy(exp.Bonus, bonus)
+	cuts := []int{cnt}
+	copy(exp.GroupCounts, metrics.PrefixGroupCountsInto(e.d, order, cuts, ws.Cnts(dims)))
+	copy(exp.BaseGroupCounts, metrics.PrefixGroupCountsInto(e.d, base, cuts, ws.Cnts(dims)))
 
-	inWith := make(map[int]bool, len(selWith))
-	for _, i := range selWith {
-		inWith[i] = true
+	// Beneficiary sets: symmetric difference of the two selections via
+	// the membership-mark buffer (reset to all-false on every path).
+	marks := ws.Marks(e.d.N())
+	for _, o := range base {
+		marks[o] = true
 	}
-	inBase := make(map[int]bool, len(selBase))
-	for _, i := range selBase {
-		inBase[i] = true
-	}
-	for _, i := range selWith {
-		if !inBase[i] {
-			exp.AdmittedByBonus = append(exp.AdmittedByBonus, i)
+	for _, o := range order {
+		if marks[o] {
+			marks[o] = false
+		} else {
+			exp.AdmittedByBonus = append(exp.AdmittedByBonus, o)
 		}
 	}
-	for _, i := range selBase {
-		if !inWith[i] {
-			exp.DisplacedByBonus = append(exp.DisplacedByBonus, i)
+	for _, o := range base {
+		if marks[o] {
+			exp.DisplacedByBonus = append(exp.DisplacedByBonus, o)
+			marks[o] = false
 		}
 	}
 	sort.Ints(exp.AdmittedByBonus)
 	sort.Ints(exp.DisplacedByBonus)
-
-	dims := e.d.NumFair()
-	exp.GroupCounts = make([]int, dims)
-	exp.BaseGroupCounts = make([]int, dims)
-	for j := 0; j < dims; j++ {
-		col := e.d.FairColumn(j)
-		for _, i := range selWith {
-			if col[i] > 0.5 {
-				exp.GroupCounts[j]++
-			}
-		}
-		for _, i := range selBase {
-			if col[i] > 0.5 {
-				exp.BaseGroupCounts[j]++
-			}
-		}
-	}
-	return exp, nil
+	return exp
 }
 
 // ExplainObject breaks down one object's score against the report's
-// published cutoff.
+// published cutoff. exp must come from Explain (or BundleStats) on this
+// evaluator: an object exactly at the cutoff is resolved with the
+// report's last selected object, not by ranking again.
 func (e *Evaluator) ExplainObject(exp *Explanation, obj int) (ObjectExplanation, error) {
 	if obj < 0 || obj >= e.d.N() {
 		return ObjectExplanation{}, fmt.Errorf("core: object %d outside [0,%d)", obj, e.d.N())
@@ -144,22 +164,9 @@ func (e *Evaluator) ExplainObject(exp *Explanation, obj int) (ObjectExplanation,
 	}
 	oe.Effective = oe.BaseScore + oe.BonusTotal
 	oe.Margin = oe.Effective - exp.Cutoff
-	oe.Selected = oe.Margin > 0 || (oe.Margin == 0)
-	// Margin == 0 means the object sits exactly at the cutoff; whether it
-	// is in depends on the tie-break, so resolve it precisely.
-	if oe.Margin == 0 {
-		sel, err := e.Select(exp.Bonus, exp.K)
-		if err != nil {
-			return ObjectExplanation{}, err
-		}
-		oe.Selected = false
-		for _, i := range sel {
-			if i == obj {
-				oe.Selected = true
-				break
-			}
-		}
-	}
+	// A zero margin ties the last selected object; equal scores rank the
+	// lower id first, so the object is in unless its id comes later.
+	oe.Selected = oe.Margin > 0 || (oe.Margin == 0 && obj <= exp.last)
 	return oe, nil
 }
 

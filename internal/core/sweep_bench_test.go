@@ -14,7 +14,7 @@ import (
 // prefix evaluations — so ns/op here is directly comparable to the
 // serve-level BenchmarkServeEvaluateSweep minus HTTP. These names are
 // guarded against regression by cmd/benchguard in CI (reference:
-// BENCH_sweep.json).
+// BENCH_rank.json).
 
 var benchSweepState struct {
 	once sync.Once

@@ -164,20 +164,9 @@ func TopKFromCounts(inPrefix, prefix, inPop, pop int) float64 {
 	return float64(inPrefix)/float64(prefix) - float64(inPop)/float64(pop)
 }
 
-// PrefixExposure returns, for every cut in cuts (ascending), the exposure
-// sum of every group in order[:cut] — the NumFair named groups (attribute
-// value > 0.5) followed by the unprotected rest — as one row per cut.
-func PrefixExposure(d *dataset.Dataset, order []int, cuts []int) [][]float64 {
-	g := d.NumFair() + 1
-	flat := PrefixExposureInto(d, order, cuts, make([]float64, g), make([]float64, len(cuts)*g))
-	out := make([][]float64, len(cuts))
-	for c := range out {
-		out[c] = flat[c*g : (c+1)*g]
-	}
-	return out
-}
-
-// PrefixExposureInto is the in-place variant of PrefixExposure: sum is a
+// PrefixExposureInto computes, for every cut in cuts (ascending), the
+// exposure sum of every group in order[:cut] — the NumFair named groups
+// (attribute value > 0.5) followed by the unprotected rest. sum is a
 // running-sum scratch of length NumFair+1 and dst receives the exposure
 // rows flattened (row c at dst[c*(NumFair+1):(c+1)*(NumFair+1)]). It
 // allocates nothing and returns dst. Each row is bit-identical to the
@@ -214,24 +203,12 @@ func PrefixExposureInto(d *dataset.Dataset, order []int, cuts []int, sum, dst []
 	return dst
 }
 
-// PrefixExposureCounts returns, for every cut in cuts (ascending), the
-// membership counts of the exposure groups in order[:cut] — the NumFair
-// named groups followed by the unprotected rest — as one row per cut.
-// Together with PrefixExposure it feeds DDPFromExposure; counts are
-// integers, so exactness needs no fold argument.
-func PrefixExposureCounts(d *dataset.Dataset, order []int, cuts []int) [][]int {
-	g := d.NumFair() + 1
-	flat := PrefixExposureCountsInto(d, order, cuts, make([]int, len(cuts)*g))
-	out := make([][]int, len(cuts))
-	for c := range out {
-		out[c] = flat[c*g : (c+1)*g]
-	}
-	return out
-}
-
-// PrefixExposureCountsInto is the in-place variant of PrefixExposureCounts:
-// dst receives the count rows flattened (row width NumFair+1). It allocates
-// nothing and returns dst.
+// PrefixExposureCountsInto counts, for every cut in cuts (ascending), the
+// members of each exposure group in order[:cut] — the NumFair named groups
+// followed by the unprotected rest. Together with PrefixExposureInto it
+// feeds DDPFromExposure; counts are integers, so exactness needs no fold
+// argument. dst receives the count rows flattened (row width NumFair+1).
+// It allocates nothing and returns dst.
 func PrefixExposureCountsInto(d *dataset.Dataset, order []int, cuts []int, dst []int) []int {
 	g := d.NumFair() + 1
 	cols := d.FairColumns()

@@ -37,8 +37,8 @@ func binaryPrefixDataset(t *testing.T, n int, seed int64) (*dataset.Dataset, []i
 func TestPrefixExposureBitIdentical(t *testing.T) {
 	d, order := binaryPrefixDataset(t, 400, 1)
 	cuts := []int{1, 2, 37, 38, 200, 399, 400}
-	rows := PrefixExposure(d, order, cuts)
 	g := d.NumFair() + 1
+	rows := splitRows(PrefixExposureInto(d, order, cuts, make([]float64, g), make([]float64, len(cuts)*g)), g)
 	for c, cut := range cuts {
 		for j := 0; j < d.NumFair(); j++ {
 			col := d.FairColumn(j)
@@ -64,8 +64,8 @@ func TestPrefixExposureBitIdentical(t *testing.T) {
 func TestPrefixExposureCountsMatchesScan(t *testing.T) {
 	d, order := binaryPrefixDataset(t, 300, 2)
 	cuts := []int{1, 5, 150, 300}
-	rows := PrefixExposureCounts(d, order, cuts)
 	g := d.NumFair() + 1
+	rows := splitRows(PrefixExposureCountsInto(d, order, cuts, make([]int, len(cuts)*g)), g)
 	for c, cut := range cuts {
 		wantRest := 0
 		for _, i := range order[:cut] {
@@ -105,9 +105,9 @@ func TestDDPFinishersBitIdentical(t *testing.T) {
 	d, order := binaryPrefixDataset(t, 350, 3)
 	fairCols := []int{0, 1, 2}
 	cuts := []int{1, 2, 50, 173, 350}
-	expo := PrefixExposure(d, order, cuts)
-	sizes := PrefixExposureCounts(d, order, cuts)
 	g := d.NumFair() + 1
+	expo := splitRows(PrefixExposureInto(d, order, cuts, make([]float64, g), make([]float64, len(cuts)*g)), g)
+	sizes := splitRows(PrefixExposureCountsInto(d, order, cuts, make([]int, len(cuts)*g)), g)
 	pc := make([]float64, g)
 	for c, cut := range cuts {
 		want, wantErr := DDP(d, order[:cut], fairCols)

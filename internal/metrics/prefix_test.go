@@ -30,10 +30,21 @@ func prefixTestDataset(t *testing.T, n int, seed int64) (*dataset.Dataset, []int
 	return d, rank.Order(scores)
 }
 
+// splitRows carves a flattened per-cut result of an *Into aggregator into
+// one row of width w per cut.
+func splitRows[T any](flat []T, w int) [][]T {
+	out := make([][]T, len(flat)/w)
+	for c := range out {
+		out[c] = flat[c*w : (c+1)*w]
+	}
+	return out
+}
+
 func TestPrefixCentroidBitIdentical(t *testing.T) {
 	d, order := prefixTestDataset(t, 400, 1)
 	cuts := []int{1, 2, 37, 38, 200, 399, 400}
-	rows := PrefixCentroid(d, order, cuts)
+	dims := d.NumFair()
+	rows := splitRows(PrefixCentroidInto(d, order, cuts, make([]float64, dims), make([]float64, len(cuts)*dims)), dims)
 	for c, cut := range cuts {
 		want := d.FairCentroidOf(order[:cut])
 		for j := range want {
@@ -47,7 +58,7 @@ func TestPrefixCentroidBitIdentical(t *testing.T) {
 func TestPrefixGroupCountsMatchesScan(t *testing.T) {
 	d, order := prefixTestDataset(t, 300, 2)
 	cuts := []int{1, 5, 150, 300}
-	rows := PrefixGroupCounts(d, order, cuts)
+	rows := splitRows(PrefixGroupCountsInto(d, order, cuts, make([]int, len(cuts)*d.NumFair())), d.NumFair())
 	for c, cut := range cuts {
 		for j := 0; j < d.NumFair(); j++ {
 			col := d.FairColumn(j)
@@ -67,7 +78,9 @@ func TestPrefixGroupCountsMatchesScan(t *testing.T) {
 func TestPrefixFPCountsMatchesScan(t *testing.T) {
 	d, order := prefixTestDataset(t, 300, 3)
 	cuts := []int{1, 7, 144, 300}
-	rows, all := PrefixFPCounts(d, order, cuts)
+	flat, all := make([]int, len(cuts)*d.NumFair()), make([]int, len(cuts))
+	PrefixFPCountsInto(d, order, cuts, flat, all)
+	rows := splitRows(flat, d.NumFair())
 	for c, cut := range cuts {
 		wantAll := 0
 		for _, i := range order[:cut] {
@@ -100,7 +113,7 @@ func TestPrefixDCGBitIdentical(t *testing.T) {
 		gains[i] = d.Score(i, 0)
 	}
 	cuts := []int{1, 3, 99, 100, 101, 499, 500}
-	got := PrefixDCG(gains, order, cuts)
+	got := PrefixDCGInto(gains, order, cuts, make([]float64, len(cuts)))
 	for c, cut := range cuts {
 		want := DCG(gains, order, cut)
 		if got[c] != want {
@@ -114,7 +127,7 @@ func TestImpactFromCountsMatchesWithin(t *testing.T) {
 	all := allIndices(d.N())
 	for _, cut := range []int{1, 10, 125, 250} {
 		want := DisparateImpactWithin(d, all, order[:cut])
-		counts := PrefixGroupCounts(d, order, []int{cut})[0]
+		counts := PrefixGroupCountsInto(d, order, []int{cut}, make([]int, d.NumFair()))
 		for j := 0; j < d.NumFair(); j++ {
 			totWith := d.GroupSize(j)
 			got := ImpactFromCounts(counts[j], totWith, cut-counts[j], d.N()-totWith)

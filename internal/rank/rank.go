@@ -223,17 +223,9 @@ func SortRanked(scores []float64, idx []int) {
 	})
 }
 
-// TopK returns the indices of the k highest-scoring items in ranked order
-// using a full sort. It panics if k is out of range; use SelectCount to
-// derive k.
-func TopK(scores []float64, k int) []int {
-	checkK(len(scores), k)
-	return Order(scores)[:k]
-}
-
 // TopKHeap returns the indices of the k highest-scoring items in
 // unspecified order using a bounded min-heap: O(n log k) time, O(k) space.
-// Membership is identical to TopK's first k elements.
+// Membership is identical to Order's first k elements.
 func TopKHeap(scores []float64, k int) []int {
 	return TopKHeapInto(scores, k, make([]int, 0, k))
 }
@@ -298,19 +290,4 @@ func checkK(n, k int) {
 	if k < 0 || k > n {
 		panic(fmt.Sprintf("rank: k=%d outside [0,%d]", k, n))
 	}
-}
-
-// Selection bundles a selection fraction with the machinery to produce the
-// selected set of a score vector.
-type Selection struct {
-	Frac float64 // fraction of objects selected, in (0,1]
-}
-
-// Select returns the top Frac of the given scores, ranked, using TopK.
-func (s Selection) Select(scores []float64) ([]int, error) {
-	k, err := SelectCount(len(scores), s.Frac)
-	if err != nil {
-		return nil, err
-	}
-	return TopK(scores, k), nil
 }

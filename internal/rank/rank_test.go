@@ -137,7 +137,7 @@ func TestTopKVariantsAgreeOnMembership(t *testing.T) {
 			scores[i] = float64(rng.Intn(10))
 		}
 		k := rng.Intn(n + 1)
-		ref := append([]int(nil), TopK(scores, k)...)
+		ref := append([]int(nil), Order(scores)[:k]...)
 		hp := append([]int(nil), TopKHeap(scores, k)...)
 		sort.Ints(ref)
 		sort.Ints(hp)
@@ -150,10 +150,14 @@ func TestTopKVariantsAgreeOnMembership(t *testing.T) {
 
 func TestTopKIsRanked(t *testing.T) {
 	scores := []float64{1, 9, 4, 9, 2}
-	got := TopK(scores, 3)
+	got := TopKHeap(scores, 3)
+	SortRanked(scores, got)
 	want := []int{1, 3, 2} // 9 (idx1), 9 (idx3), 4 (idx2)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("TopK = %v, want %v", got, want)
+		t.Errorf("sorted TopKHeap = %v, want %v", got, want)
+	}
+	if prefix := Order(scores)[:3]; !reflect.DeepEqual(prefix, want) {
+		t.Errorf("Order prefix = %v, want %v", prefix, want)
 	}
 }
 
@@ -163,19 +167,5 @@ func TestTopKPanicsOutOfRange(t *testing.T) {
 			t.Error("expected panic when k > n")
 		}
 	}()
-	TopK([]float64{1}, 2)
-}
-
-func TestSelectionSelect(t *testing.T) {
-	sel := Selection{Frac: 0.4}
-	got, err := sel.Select([]float64{5, 1, 4, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Errorf("Select = %v, want [0 2]", got)
-	}
-	if _, err := (Selection{Frac: 0}).Select([]float64{1}); err == nil {
-		t.Error("Frac 0: expected error")
-	}
+	TopKHeap([]float64{1}, 2)
 }

@@ -16,7 +16,7 @@ import (
 // nDCG, beneficiary lists, and the counterfactual margin window — so its
 // ns/op tracks the total ranking work a cold GET /v1/report pays. The name
 // is guarded against regression by cmd/benchguard in CI (reference:
-// BENCH_report.json).
+// BENCH_rank.json).
 
 var benchBundleState struct {
 	once sync.Once

@@ -5,15 +5,17 @@ import (
 	"testing"
 
 	"fairrank/internal/core"
+	"fairrank/internal/oracle"
 	"fairrank/internal/rank"
 )
 
-// pointwiseBundle assembles the audit bundle exactly the way BuildBundle
-// did before the BundleData rewrite: one independent pointwise evaluator
-// call per quantity (Explain, AttributeDisparity, NDCG, FPRDiff, and a
-// counterfactual batch over the boundary window of the full sorted
-// order). It exists only as the differential reference; every field it
-// produces must be reproduced bit for bit by the rank-once path.
+// pointwiseBundle assembles the audit bundle from independent references,
+// one per quantity: the selection side (cutoffs, group counts,
+// beneficiary sets) from internal/oracle, which shares no code with the
+// engine, then AttributeDisparity, NDCG, FPRDiff, and a counterfactual
+// batch over the boundary window of the full sorted order. It exists only
+// as the differential reference; every field it produces must be
+// reproduced bit for bit by the rank-once path.
 func pointwiseBundle(t testing.TB, ev *core.Evaluator, cfg BundleConfig) *Bundle {
 	t.Helper()
 	d := ev.Dataset()
@@ -21,10 +23,7 @@ func pointwiseBundle(t testing.TB, ev *core.Evaluator, cfg BundleConfig) *Bundle
 	if margins == 0 {
 		margins = DefaultMargins
 	}
-	exp, err := ev.Explain(cfg.Bonus, cfg.K)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := oracle.Explain(d, ev.BaseScores(), cfg.Bonus, ev.Polarity() == rank.Adverse, cfg.K)
 	att, err := ev.AttributeDisparity(cfg.Bonus, cfg.K)
 	if err != nil {
 		t.Fatal(err)
@@ -39,25 +38,25 @@ func pointwiseBundle(t testing.TB, ev *core.Evaluator, cfg BundleConfig) *Bundle
 		N:                d.N(),
 		Polarity:         ev.Polarity().String(),
 		K:                cfg.K,
-		Selected:         exp.Selected,
-		Cutoff:           exp.Cutoff,
-		BaseCutoff:       exp.BaseCutoff,
+		Selected:         ref.Selected,
+		Cutoff:           ref.Cutoff,
+		BaseCutoff:       ref.BaseCutoff,
 		NormBefore:       att.NormBase,
 		NormAfter:        att.NormFull,
 		NDCG:             ndcg,
-		AdmittedCount:    len(exp.AdmittedByBonus),
-		DisplacedCount:   len(exp.DisplacedByBonus),
-		AdmittedByBonus:  capIDs(exp.AdmittedByBonus),
-		DisplacedByBonus: capIDs(exp.DisplacedByBonus),
+		AdmittedCount:    len(ref.Admitted),
+		DisplacedCount:   len(ref.Displaced),
+		AdmittedByBonus:  capIDs(ref.Admitted),
+		DisplacedByBonus: capIDs(ref.Displaced),
 	}
 	b.Policy = make([]PolicyLine, d.NumFair())
 	for j := range b.Policy {
 		b.Policy[j] = PolicyLine{
-			Attribute:       exp.FairNames[j],
+			Attribute:       d.FairNames()[j],
 			Points:          cfg.Bonus[j],
 			GroupSize:       d.GroupSize(j),
-			SelectedWith:    exp.GroupCounts[j],
-			SelectedWithout: exp.BaseGroupCounts[j],
+			SelectedWith:    ref.GroupCounts[j],
+			SelectedWithout: ref.BaseGroupCounts[j],
 			LeaveOneOutNorm: att.LeaveOneOut[j],
 			Contribution:    att.Contribution[j],
 		}

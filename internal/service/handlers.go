@@ -195,20 +195,11 @@ func (s *Server) runTrain(ctx context.Context, e *Entry, p *trainParams, key str
 		return TrainResponse{}, pipelineErr(err, http.StatusBadRequest)
 	}
 
-	// The baseline disparity depends only on (dataset, k), not on the
-	// trained vector — memoize it in the same bounded LRU so iterative
-	// what-if sessions at one k don't repay a full-population ranking per
-	// request. Handlers only read the cached slice.
-	beforeKey := fmt.Sprintf("before|%s|%g", p.req.Dataset, p.req.K)
-	var before []float64
-	if v, ok := s.cache.get(beforeKey); ok {
-		before = v.([]float64)
-	} else {
-		before, err = e.eval.DisparityCtx(ctx, nil, p.req.K)
-		if err != nil {
-			return TrainResponse{}, pipelineErr(fmt.Errorf("evaluating trained vector: %w", err), http.StatusInternalServerError)
-		}
-		s.cache.put(beforeKey, before)
+	// The baseline disparity reads the cached uncompensated order: no
+	// ranked pass.
+	before, err := e.eval.DisparityCtx(ctx, nil, p.req.K)
+	if err != nil {
+		return TrainResponse{}, pipelineErr(fmt.Errorf("evaluating trained vector: %w", err), http.StatusInternalServerError)
 	}
 	after, err := e.eval.DisparityCtx(ctx, res.Bonus, p.req.K)
 	if err != nil {
