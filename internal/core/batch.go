@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"fairrank/internal/engine"
 	"fairrank/internal/metrics"
@@ -17,8 +16,10 @@ import (
 // the object ids being asked about — so any number of concurrent
 // requests that share a bonus vector are answerable from ONE ranked
 // prefix sized to their maximum cut. AnswerBatch is that entry point:
-// the service micro-batcher collects heterogeneous (k, ids, metric)
-// queries behind one window and this pass answers them all.
+// the service collects heterogeneous (k, ids, metric) queries behind one
+// micro-batch window (or sends one request's queries inline) and this
+// pass answers them all. BundleStats, NDCG and the exposure family are
+// one-query batches of the same pass (answerOne).
 //
 // Every answer is bit-identical to the corresponding per-request
 // evaluator (Sweep, CounterfactualBatch, BundleStats): the metric queries
@@ -102,105 +103,144 @@ type batchGeom struct {
 	ndcgCut int // bundle utility cut
 }
 
-// bundleGeom is a bundle's pass geometry: the selection plus its margin
-// window (clamped to the population) and the nDCG cut.
-func (e *Evaluator) bundleGeom(cnt, ndcgCut, margins int) batchGeom {
-	p := min(cnt+margins, e.d.N())
-	return batchGeom{cut: max(p, ndcgCut), cnt: cnt, ndcgCut: ndcgCut}
-}
-
 // AnswerBatch answers every query from one shared ranked pass under the
 // bonus vector. See AnswerBatchCtx.
 func (e *Evaluator) AnswerBatch(bonus []float64, qs []BatchQuery) ([]BatchAnswer, error) {
 	return e.AnswerBatchCtx(context.Background(), bonus, qs)
 }
 
-// AnswerBatchCtx validates every query up front (a batch-wide error, so
-// the service layer can keep malformed requests out of the window), then
-// acquires one ranked pass sized to the batch's maximum cut and answers
-// each query from it: metric queries through the fold table over per-kind
-// cut grids, counterfactual queries through the combo-run rank lookups
-// (merged pass) or the shared full order, bundle queries through the
-// BundleStats finishers plus one shared leave-one-out fan. The ranking
+// AnswerBatchCtx validates every query up front through checkQuery (a
+// batch-wide error naming the failing query, so the service layer can
+// keep malformed requests out of the window), then acquires one ranked
+// pass sized to the batch's maximum cut and answers each query from it:
+// metric queries through the fold table over per-kind cut grids,
+// counterfactual queries through the combo-run rank lookups (merged pass)
+// or the shared full order, bundle queries through the fold table, the
+// selection-side finisher and one shared leave-one-out fan. The ranking
 // budget is one pass for the whole batch — plus, when bundles are
 // present, one leave-one-out prefix per attribute with a non-zero bonus,
 // shared across every bundle — instead of one per request; a zero bonus
-// is answered from the cached base order for free.
+// is answered from the cached base order for free. The single-query
+// entry points (BundleStats, NDCG, the exposure family) are this pass
+// answering one query; see answerOne.
 //
-// Cancellation is cooperative per PR 8's contract: ctx is the BATCH's
-// context, not any one caller's — the batcher cancels it only when every
-// member is gone, so one caller's disconnect never poisons the rest. A
-// non-nil error means no answers were produced.
+// Cancellation is cooperative: ctx is the BATCH's context, not any one
+// caller's — the batcher cancels it only when every member is gone, so
+// one caller's disconnect never poisons the rest. A non-nil error means
+// no answers were produced.
 func (e *Evaluator) AnswerBatchCtx(ctx context.Context, bonus []float64, qs []BatchQuery) ([]BatchAnswer, error) {
 	if err := e.checkBonusDims(bonus); err != nil {
 		return nil, err
-	}
-	n := e.d.N()
-	if n == 0 {
-		return nil, fmt.Errorf("core: cannot evaluate an empty dataset")
 	}
 	if len(qs) == 0 {
 		return nil, nil
 	}
 	bonus = canonBonus(bonus)
-
 	geom := make([]batchGeom, len(qs))
 	for i := range qs {
-		q := &qs[i]
-		switch q.Kind {
-		case BatchDisparity, BatchNDCG, BatchDisparateImpact, BatchFPRDiff, BatchExposure, BatchExpRatio, BatchTopK:
-			if err := e.checkMetric(q.Kind); err != nil {
-				return nil, err
-			}
-			cut, err := metricCount(q.Kind)(n, q.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, q.K, err)
-			}
-			geom[i].cut = cut
-		case BatchCounterfactual:
-			cnt, err := rank.SelectCount(n, q.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, q.K, err)
-			}
-			for _, obj := range q.Objects {
-				if obj < 0 || obj >= n {
-					return nil, fmt.Errorf("core: batch query %d: object %d outside [0,%d)", i, obj, n)
-				}
-			}
-			geom[i] = batchGeom{cut: min(cnt+1, n), cnt: cnt} // the first excluded object is a boundary competitor too
-		case BatchBundle:
-			b := q.Bundle
-			if b == nil {
-				return nil, fmt.Errorf("core: batch query %d: bundle query without a config", i)
-			}
-			if !slices.Equal(canonBonus(b.Bonus), bonus) {
-				return nil, fmt.Errorf("core: batch query %d: bundle bonus differs from the batch bonus", i)
-			}
-			if b.Margins < 0 {
-				return nil, fmt.Errorf("core: margin window %d is negative", b.Margins)
-			}
-			if b.IncludeFPR && !e.d.HasOutcomes() {
-				return nil, fmt.Errorf("core: FPR evaluation requires outcomes")
-			}
-			if b.IncludeExposure {
-				if err := e.exposureGuard(); err != nil {
-					return nil, err
-				}
-			}
-			cnt, err := rank.SelectCount(n, b.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, b.K, err)
-			}
-			ndcgCut, err := metrics.PrefixCount(n, b.K)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch query %d (k=%g): %w", i, b.K, err)
-			}
-			geom[i] = e.bundleGeom(cnt, ndcgCut, b.Margins)
-		default:
-			return nil, fmt.Errorf("core: batch query %d: unknown kind %d", i, q.Kind)
+		g, err := e.checkQuery(bonus, qs[i])
+		if err != nil {
+			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
 		}
+		geom[i] = g
 	}
 	return e.answerBatch(ctx, bonus, qs, geom)
+}
+
+// answerOne answers a single query the way AnswerBatchCtx answers a batch
+// of one: the same validator, then the same pass. Errors come back
+// unwrapped, and the answer's own Err (a zero ideal DCG, degenerate
+// exposure groups) is returned as the error, so the single-query entry
+// points keep their pointwise wording.
+func (e *Evaluator) answerOne(ctx context.Context, bonus []float64, q BatchQuery) (BatchAnswer, error) {
+	if err := e.checkBonusDims(bonus); err != nil {
+		return BatchAnswer{}, err
+	}
+	bonus = canonBonus(bonus)
+	g, err := e.checkQuery(bonus, q)
+	if err != nil {
+		return BatchAnswer{}, err
+	}
+	answers, err := e.answerBatch(ctx, bonus, []BatchQuery{q}, []batchGeom{g})
+	if err != nil {
+		return BatchAnswer{}, err
+	}
+	return answers[0], answers[0].Err
+}
+
+// checkQuery is the query validator, the one place a query is checked
+// against the dataset (and a bundle against the canonical batch bonus)
+// before any ranking is spent. It resolves the query's pass geometry:
+// the selection count of a fraction, or for nDCG the metric package's
+// own prefix count. Its errors are unwrapped; AnswerBatchCtx and Sweep
+// locate them.
+func (e *Evaluator) checkQuery(bonus []float64, q BatchQuery) (batchGeom, error) {
+	n := e.d.N()
+	if n == 0 {
+		return batchGeom{}, fmt.Errorf("core: cannot evaluate an empty dataset")
+	}
+	k, count := q.K, rank.SelectCount
+	switch q.Kind {
+	case BatchDisparity, BatchDisparateImpact:
+	case BatchNDCG:
+		count = metrics.PrefixCount
+	case BatchFPRDiff:
+		if !e.d.HasOutcomes() {
+			return batchGeom{}, fmt.Errorf("core: FPR evaluation requires outcomes")
+		}
+	case BatchExposure, BatchTopK, BatchExpRatio:
+		if err := e.exposureGuard(); err != nil {
+			return batchGeom{}, err
+		}
+		if q.Kind == BatchExpRatio && !e.d.HasOutcomes() {
+			return batchGeom{}, fmt.Errorf("core: exposure/merit ratio requires outcomes")
+		}
+	case BatchCounterfactual:
+		for _, obj := range q.Objects {
+			if obj < 0 || obj >= n {
+				return batchGeom{}, fmt.Errorf("core: object %d outside [0,%d)", obj, n)
+			}
+		}
+	case BatchBundle:
+		b := q.Bundle
+		if b == nil {
+			return batchGeom{}, fmt.Errorf("core: bundle query without a config")
+		}
+		if !slices.Equal(canonBonus(b.Bonus), bonus) {
+			return batchGeom{}, fmt.Errorf("core: bundle bonus differs from the batch bonus")
+		}
+		if b.Margins < 0 {
+			return batchGeom{}, fmt.Errorf("core: margin window %d is negative", b.Margins)
+		}
+		if b.IncludeFPR && !e.d.HasOutcomes() {
+			return batchGeom{}, fmt.Errorf("core: FPR evaluation requires outcomes")
+		}
+		if b.IncludeExposure {
+			if err := e.exposureGuard(); err != nil {
+				return batchGeom{}, err
+			}
+		}
+		k = b.K
+	default:
+		return batchGeom{}, fmt.Errorf("core: unknown kind %d", q.Kind)
+	}
+	cnt, err := count(n, k)
+	if err != nil {
+		return batchGeom{}, err
+	}
+	switch q.Kind {
+	case BatchCounterfactual:
+		return batchGeom{cut: min(cnt+1, n), cnt: cnt}, nil // the first excluded object is a boundary competitor too
+	case BatchBundle:
+		// The nDCG cut resolves through the metric package's own fraction
+		// arithmetic, exactly as the pointwise NDCG does.
+		ndcgCut, err := metrics.PrefixCount(n, k)
+		if err != nil {
+			return batchGeom{}, err
+		}
+		return batchGeom{cut: max(min(cnt+q.Bundle.Margins, n), ndcgCut), cnt: cnt, ndcgCut: ndcgCut}, nil
+	}
+	return batchGeom{cut: cnt}, nil
 }
 
 // answerBatch answers validated queries under a canonical bonus; geom
@@ -214,24 +254,37 @@ func (e *Evaluator) AnswerBatchCtx(ctx context.Context, bonus []float64, qs []Ba
 // ranking. On a multicore box the distinct rankings overlap; on one core
 // the fan degenerates to a loop over one pooled workspace.
 func (e *Evaluator) answerBatch(ctx context.Context, bonus []float64, qs []BatchQuery, geom []batchGeom) ([]BatchAnswer, error) {
-	var looJobs, looCuts []int
+	// The bundles form one fold group over their selection cuts; each
+	// leave-one-out task folds its disparity rows into its own block of
+	// looRows, indexed like qs.
+	var loo sweepGroup
+	var looJobs []int
 	for i := range qs {
 		if qs[i].Kind == BatchBundle {
-			looCuts = append(looCuts, geom[i].cnt)
+			loo.pts = append(loo.pts, i)
 		}
 	}
-	if len(looCuts) > 0 {
+	if len(loo.pts) > 0 {
+		cnts := make([]int, len(qs))
+		for i := range geom {
+			cnts[i] = geom[i].cnt
+		}
+		loo.setGrid(cnts)
 		for j, b := range bonus {
 			if b != 0 {
 				looJobs = append(looJobs, j)
 			}
 		}
-		sort.Ints(looCuts)
-		looCuts = slices.Compact(looCuts)
 	}
-	nc, dims := len(looCuts), e.d.NumFair()
+	dims := e.d.NumFair()
 	looVecs := make([]float64, len(looJobs)*dims)
-	looNorms := make([]float64, len(looJobs)*nc)
+	looRows := make([][]float64, len(looJobs)*len(qs))
+	rows := vectorRows(len(looJobs)*len(loo.pts), dims)
+	for r := range looJobs {
+		for b, i := range loo.pts {
+			looRows[r*len(qs)+i] = rows[r*len(loo.pts)+b]
+		}
+	}
 	answers := make([]BatchAnswer, len(qs))
 	terrs := make([]error, 1+len(looJobs))
 	perr := e.parallelCtx(ctx, len(terrs), func(ws *engine.Workspace, t int) {
@@ -243,22 +296,21 @@ func (e *Evaluator) answerBatch(ctx context.Context, bonus []float64, qs []Batch
 		vec := looVecs[r*dims : (r+1)*dims]
 		copy(vec, bonus)
 		vec[looJobs[r]] = 0
-		terrs[t] = e.leaveOneOutWS(ctx, ws, vec, looCuts, looNorms[r*nc:(r+1)*nc])
+		terrs[t] = e.leaveOneOutWS(ctx, ws, vec, &loo, looRows[r*len(qs):(r+1)*len(qs)])
 	})
 	if err := firstErr(perr, terrs); err != nil {
 		return nil, err
 	}
-	for i := range qs {
+	for _, i := range loo.pts {
 		st := answers[i].Bundle
 		if st == nil {
 			continue
 		}
-		c, _ := slices.BinarySearch(looCuts, geom[i].cnt)
 		for j := range st.LeaveOneOut {
 			st.LeaveOneOut[j] = st.NormAfter
 		}
 		for r, j := range looJobs {
-			st.LeaveOneOut[j] = looNorms[r*nc+c]
+			st.LeaveOneOut[j] = metrics.Norm(looRows[r*len(qs)+i])
 		}
 		st.Reduction = st.NormBefore - st.NormAfter
 		for j := range st.Contribution {
@@ -327,30 +379,42 @@ func (e *Evaluator) answerSharedWS(ctx context.Context, ws *engine.Workspace, bo
 	return nil
 }
 
-// leaveOneOutWS ranks a leave-one-out bonus vector and writes its
-// disparity norm at every cut into norms.
-func (e *Evaluator) leaveOneOutWS(ctx context.Context, ws *engine.Workspace, vec []float64, cuts []int, norms []float64) error {
-	dims := e.d.NumFair()
-	ps, err := e.rankedPassWS(ctx, ws, vec, cuts[len(cuts)-1], false)
+// leaveOneOutWS ranks a leave-one-out bonus vector and folds its
+// disparity rows at the bundles' cuts (group g) into vecs, through the
+// fold table's disparity arm.
+func (e *Evaluator) leaveOneOutWS(ctx context.Context, ws *engine.Workspace, vec []float64, g *sweepGroup, vecs [][]float64) error {
+	ps, err := e.rankedPassWS(ctx, ws, vec, g.cuts[len(g.cuts)-1], false)
 	if err != nil {
 		return err
 	}
-	cent := metrics.PrefixCentroidInto(e.d, ps.order, cuts, ws.Pop(), ws.Agg(len(cuts)*dims))
-	for c := range cuts {
-		norms[c] = normAgainst(cent[c*dims:(c+1)*dims], e.centroid)
-	}
+	e.foldWS(ws, BatchDisparity, ps.order, g, vecs, nil, nil)
 	return nil
+}
+
+// foldOne answers one metric kind at a single cut of order through the
+// fold table: the row (nil for nDCG; caller-owned, never workspace
+// scratch), the scalar (nDCG or exposure DDP) and the fold's
+// data-dependent failure.
+func (e *Evaluator) foldOne(ws *engine.Workspace, kind BatchKind, order []int, cut int) ([]float64, float64, error) {
+	g := sweepGroup{pts: []int{0}, cuts: []int{cut}, cutPos: []int{0}}
+	vecs, vals, errs := [][]float64{nil}, []float64{0}, []error{nil}
+	if w := e.metricWidth(kind); w > 0 {
+		vecs[0] = make([]float64, w)
+	}
+	e.foldWS(ws, kind, order, &g, vecs, vals, errs)
+	return vecs[0], vals[0], errs[0]
 }
 
 // bundleFromShared computes one bundle's every shared-order quantity from
 // the batch pass: the selection side (cutoffs, group counts, beneficiary
-// sets) through explainWS, the finisher Explain uses, then disparity
-// norms, nDCG, FPR differences, exposure rows and the counterfactual
-// margin window, plus the base-order side off the cached uncompensated
-// ranking. The pass must cover the bundle's geometry cut. The
-// leave-one-out attribution is left to answerBatch. The only failures
-// are the data-dependent ones (a zero ideal DCG, degenerate exposure
-// groups), and they are the query's own.
+// sets) through explainWS, the finisher Explain uses; the disparity
+// norms, nDCG, FPR differences and exposure rows through the fold table,
+// at the selection cut of the pass and of the cached uncompensated order;
+// and the counterfactual margin window through counterfactualsWS. The
+// pass must cover the bundle's geometry cut. The leave-one-out
+// attribution is left to answerBatch. The only failures are the
+// data-dependent ones (a zero ideal DCG, degenerate exposure groups), and
+// they are the query's own.
 func (e *Evaluator) bundleFromShared(ws *engine.Workspace, ps rankPass, bonus []float64, cfg *BundleStatsConfig, g batchGeom) (*BundleStats, error) {
 	dims := e.d.NumFair()
 	cnt, order := g.cnt, ps.order
@@ -359,58 +423,30 @@ func (e *Evaluator) bundleFromShared(ws *engine.Workspace, ps rankPass, bonus []
 		LeaveOneOut:  make([]float64, dims),
 		Contribution: make([]float64, dims),
 	}
+	after, _, _ := e.foldOne(ws, BatchDisparity, order, cnt)
+	st.NormAfter = metrics.Norm(after)
+	before, _, _ := e.foldOne(ws, BatchDisparity, e.origOrd, cnt)
+	st.NormBefore = metrics.Norm(before)
 
-	cuts := []int{cnt}
-	cent := metrics.PrefixCentroidInto(e.d, order, cuts, ws.Pop(), ws.Agg(dims))
-	st.NormAfter = normAgainst(cent, e.centroid)
-
-	// The centroid row has been consumed, so the aggregate scratch can be
-	// re-carved.
-	ndcgCuts := []int{g.ndcgCut}
-	agg := ws.Agg(2)
-	corrected := metrics.PrefixDCGInto(e.base, order, ndcgCuts, agg[:1])
-	ideal := metrics.PrefixDCGInto(e.base, e.origOrd, ndcgCuts, agg[1:])
-	if ideal[0] == 0 {
-		return nil, metrics.ErrZeroIdealDCG
+	var err error
+	if _, st.NDCG, err = e.foldOne(ws, BatchNDCG, order, g.ndcgCut); err != nil {
+		return nil, err
 	}
-	st.NDCG = corrected[0] / ideal[0]
-
 	if cfg.IncludeFPR {
-		cnts := ws.Cnts(dims + 1)
-		rows, all := cnts[:dims], cnts[dims:]
-		metrics.PrefixFPCountsInto(e.d, order, cuts, rows, all)
-		st.FPRDiff = make([]float64, dims)
-		if e.negAll != 0 {
-			overall := float64(all[0]) / float64(e.negAll)
-			for j := range st.FPRDiff {
-				if e.negTot[j] != 0 {
-					st.FPRDiff[j] = float64(rows[j])/float64(e.negTot[j]) - overall
-				}
-			}
-		}
+		st.FPRDiff, _, _ = e.foldOne(ws, BatchFPRDiff, order, cnt)
 	}
 	if cfg.IncludeExposure {
-		var err error
-		if st.Exposure, st.ExposureDDP, err = e.exposureSideWS(ws, order, cuts); err != nil {
+		if st.Exposure, st.ExposureDDP, err = e.foldOne(ws, BatchExposure, order, cnt); err != nil {
+			return nil, err
+		}
+		if st.BaseExposure, st.BaseExposureDDP, err = e.foldOne(ws, BatchExposure, e.origOrd, cnt); err != nil {
 			return nil, err
 		}
 	}
-
 	if cfg.Margins > 0 {
 		lo := max(cnt-cfg.Margins, 0)
 		hi := min(cnt+cfg.Margins, e.d.N())
-		var err error
 		if st.Margins, err = e.counterfactualsWS(ws, ps, bonus, cnt, order[lo:hi]); err != nil {
-			return nil, err
-		}
-	}
-
-	// Base-order side: free off the cached uncompensated ranking.
-	bcent := metrics.PrefixCentroidInto(e.d, e.origOrd, cuts, ws.Pop(), ws.Agg(dims))
-	st.NormBefore = normAgainst(bcent, e.centroid)
-	if cfg.IncludeExposure {
-		var err error
-		if st.BaseExposure, st.BaseExposureDDP, err = e.exposureSideWS(ws, e.origOrd, cuts); err != nil {
 			return nil, err
 		}
 	}

@@ -1,38 +1,33 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"math"
-
-	"fairrank/internal/metrics"
-	"fairrank/internal/rank"
-)
+import "context"
 
 // BundleData pass. Because bonus points enter the effective score
 // additively (Definition 2), every fixed-(bonus, k) audit quantity — the
 // published cutoff, per-group selection counts, disparity norms, nDCG,
-// FPR differences, the beneficiary and displaced sets, and the
-// counterfactual margin window — is a deterministic function of one
-// ranked order per score vector. BundleStats therefore ranks the
-// compensated order once, reuses the cached uncompensated order for the
-// base side, folds the leave-one-attribute-out attribution's extra
-// vectors into the same fan-out, and answers everything else from prefix
-// aggregates of those shared orders (metrics.PrefixCentroidInto /
-// PrefixGroupCountsInto / PrefixFPCountsInto / PrefixDCGInto): a cold
-// audit bundle costs at most dims+1 ranking passes instead of the ~dims+5
-// the one-metric-at-a-time evaluators pay, and — since only the leading
-// cnt+margins positions of each order are ever read — each pass is a
-// bounded-heap prefix selection (O(n log p)), not a full sort. The
-// selection side is explainWS, the finisher Explain itself runs, so a
-// bundle's embedded Explanation is the report Explain publishes.
+// FPR differences, exposure rows, the beneficiary and displaced sets, and
+// the counterfactual margin window — is a deterministic function of one
+// ranked order per score vector. BundleStats is therefore a query of the
+// batch pass (AnswerBatchCtx): it ranks the compensated order once,
+// reuses the cached uncompensated order for the base side, folds the
+// leave-one-attribute-out attribution's extra vectors into the same
+// fan-out, and answers the metrics through the fold table (foldWS) at the
+// selection cut: a cold audit bundle costs at most dims+1 ranked passes
+// instead of the ~dims+5 the one-metric-at-a-time evaluators pay. Only
+// the leading cnt+margins positions of each order are ever read, so each
+// pass is a ranked prefix from rankedPassWS: the combo-run merge when the
+// cohort allows it (no population-wide pass at all), otherwise a
+// bounded-heap prefix selection (O(n log p)), and a full sort only once
+// the prefix covers half the population. The selection side is
+// explainWS, the finisher Explain itself runs, so a bundle's embedded
+// Explanation is the report Explain publishes.
 //
 // Results are bit-identical to independent references: the selection
 // side to internal/oracle, which ranks by Definition 2 with a plain
 // stable sort and shares no code with the engine, and the rest to the
 // pointwise evaluators (AttributeDisparity, NDCG, FPRDiff,
 // CounterfactualBatch). The prefix aggregates resume the same
-// left-to-right folds, the prefix selection reproduces the full sort's
+// left-to-right folds, every prefix route reproduces the full sort's
 // leading segment exactly (the comparator is a total order), and the
 // scalar finishers share their formulas with the pointwise
 // implementations. See TestBundleStatsDifferential and
@@ -118,58 +113,10 @@ func (e *Evaluator) BundleStats(cfg BundleStatsConfig) (*BundleStats, error) {
 // BundleStatsCtx is BundleStats with cooperative cancellation: once ctx
 // is done, no further ranking task is dispatched, in-flight tasks stop at
 // their next checkpoint, and the context's error is returned — no partial
-// bundle escapes. Validation runs here first, so its errors keep their
-// pointwise wording rather than the batch's per-query wrapping.
+// bundle escapes. The config is checked by the batch pass's own query
+// validator, and its errors come back unwrapped rather than with the
+// batch's per-query location.
 func (e *Evaluator) BundleStatsCtx(ctx context.Context, cfg BundleStatsConfig) (*BundleStats, error) {
-	if err := e.checkBonusDims(cfg.Bonus); err != nil {
-		return nil, err
-	}
-	n := e.d.N()
-	if n == 0 {
-		return nil, fmt.Errorf("core: cannot audit an empty dataset")
-	}
-	if cfg.Margins < 0 {
-		return nil, fmt.Errorf("core: margin window %d is negative", cfg.Margins)
-	}
-	if cfg.IncludeFPR && !e.d.HasOutcomes() {
-		return nil, fmt.Errorf("core: FPR evaluation requires outcomes")
-	}
-	if cfg.IncludeExposure {
-		if err := e.exposureGuard(); err != nil {
-			return nil, err
-		}
-	}
-	cnt, err := rank.SelectCount(n, cfg.K)
-	if err != nil {
-		return nil, err
-	}
-	// The nDCG cut resolves through the metric package's own fraction
-	// arithmetic, exactly as the pointwise NDCG does. (Both round
-	// half-up and clamp to [1, n], so the cuts coincide; going through
-	// metrics.PrefixCount keeps that an implementation detail of the
-	// metric, not an assumption of this pass.)
-	ndcgCut, err := metrics.PrefixCount(n, cfg.K)
-	if err != nil {
-		return nil, err
-	}
-	q := BatchQuery{Kind: BatchBundle, Bundle: &cfg}
-	answers, err := e.answerBatch(ctx, canonBonus(cfg.Bonus), []BatchQuery{q}, []batchGeom{e.bundleGeom(cnt, ndcgCut, cfg.Margins)})
-	if err != nil {
-		return nil, err
-	}
-	return answers[0].Bundle, answers[0].Err
-}
-
-// normAgainst returns the L2 norm of (cent - ref), the disparity norm of
-// a selection centroid against the population centroid. The fold —
-// ascending dimension, square-accumulate, one final sqrt — is exactly
-// metrics.Norm over the subtracted vector, so the value is bit-identical
-// to the pointwise Disparity+Norm path.
-func normAgainst(cent, ref []float64) float64 {
-	var s float64
-	for j := range cent {
-		x := cent[j] - ref[j]
-		s += x * x
-	}
-	return math.Sqrt(s)
+	a, err := e.answerOne(ctx, cfg.Bonus, BatchQuery{Kind: BatchBundle, Bundle: &cfg})
+	return a.Bundle, err
 }

@@ -183,6 +183,14 @@ func TestBundleStatsDifferential(t *testing.T) {
 			BundleStatsConfig{Bonus: []float64{0, 0}, K: 0.1, Margins: 3}},
 		{"no margins requested", 200, 2, false, false, false, rank.Beneficial,
 			BundleStatsConfig{Bonus: []float64{2, 1}, K: 0.1}},
+		// Margin-window clamps: the window's left side at cnt = 1, its
+		// right side at cnt = n, and a window wider than the population.
+		{"cnt=1 clamps the window on the left", 300, 3, false, false, false, rank.Adverse,
+			BundleStatsConfig{Bonus: []float64{1.5, 0.5, 2}, K: 1.0 / 300, Margins: 5}},
+		{"cnt=n clamps the window on the right", 300, 3, false, false, false, rank.Adverse,
+			BundleStatsConfig{Bonus: []float64{1.5, 0.5, 2}, K: 1, Margins: 4}},
+		{"window wider than the population", 300, 3, false, false, false, rank.Adverse,
+			BundleStatsConfig{Bonus: []float64{1.5, 0.5, 2}, K: 0.5, Margins: 1000}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"fairrank/internal/engine"
 	"fairrank/internal/metrics"
-	"fairrank/internal/rank"
 )
 
 // Counterfactual answers, for one object, the question the paper's
@@ -124,72 +123,27 @@ func (e *Evaluator) CounterfactualBatch(bonus []float64, k float64, objs []int) 
 // CounterfactualBatchCtx is CounterfactualBatch with cooperative
 // cancellation: the single ranking pass behind the batch aborts at its
 // next checkpoint once ctx is done and the context's error is returned.
+// The request is checked by the batch pass's query validator (checkQuery)
+// and finished by the batch pass's counterfactual finisher; only the
+// ranked pass is taken here directly, which keeps a 16-object batch at
+// its two allocations.
 func (e *Evaluator) CounterfactualBatchCtx(ctx context.Context, bonus []float64, k float64, objs []int) ([]Counterfactual, error) {
-	if err := e.checkBonusDims(bonus); err != nil {
-		return nil, err
-	}
-	n := e.d.N()
-	for _, obj := range objs {
-		if obj < 0 || obj >= n {
-			return nil, fmt.Errorf("core: object %d outside [0,%d)", obj, n)
-		}
-	}
-	cnt, err := rank.SelectCount(n, k)
+	g, err := e.checkQuery(nil, BatchQuery{Kind: BatchCounterfactual, K: k, Objects: objs})
 	if err != nil {
 		return nil, err
 	}
-
-	// The boundary competitors are positions cnt-1 and, when cnt < n, cnt.
-	// A merged pass places the objects through per-run binary searches
-	// (ComboRuns.RankOf, O(g·log(n/g)) each) with no population-wide pass
-	// at all; otherwise the pass is the full order and its inverse.
-	p := cnt
-	if cnt < n {
-		p = cnt + 1
-	}
+	// The boundary competitors are positions cnt-1 and, when cnt < n, cnt
+	// (the query's cut). A merged pass places the objects through per-run
+	// binary searches (ComboRuns.RankOf, O(g·log(n/g)) each) with no
+	// population-wide pass at all; otherwise the pass is the full order
+	// and its inverse.
 	ws := e.ws()
 	defer e.put(ws)
-	ps, err := e.rankedPassWS(ctx, ws, bonus, p, true)
+	ps, err := e.rankedPassWS(ctx, ws, bonus, g.cut, true)
 	if err != nil {
 		return nil, err
 	}
-	return e.counterfactualsWS(ws, ps, bonus, cnt, objs)
-}
-
-// CounterfactualWindow computes counterfactuals for the boundary window of
-// the selection — the m last selected and m first excluded objects, in
-// rank order — from a single ranking. This is the audit-bundle margin
-// workload: the window ids come off the same sorted order the
-// counterfactuals are answered from, so the whole call pays one ranking.
-func (e *Evaluator) CounterfactualWindow(bonus []float64, k float64, m int) ([]Counterfactual, error) {
-	if err := e.checkBonusDims(bonus); err != nil {
-		return nil, err
-	}
-	if m < 0 {
-		return nil, fmt.Errorf("core: window size %d is negative", m)
-	}
-	cnt, err := rank.SelectCount(e.d.N(), k)
-	if err != nil {
-		return nil, err
-	}
-	lo := cnt - m
-	if lo < 0 {
-		lo = 0
-	}
-	hi := cnt + m
-	if hi > e.d.N() {
-		hi = e.d.N()
-	}
-	ws := e.ws()
-	defer e.put(ws)
-	// Only the leading hi positions are ever read (window ids, ranks, and
-	// boundary competitors all live there), so a ranked prefix suffices —
-	// it is bit-identical to the full order's leading segment.
-	ps, err := e.rankedPassWS(context.Background(), ws, bonus, hi, false)
-	if err != nil {
-		return nil, err
-	}
-	return e.counterfactualsWS(ws, ps, bonus, cnt, ps.order[lo:hi])
+	return e.counterfactualsWS(ws, ps, bonus, g.cnt, objs)
 }
 
 // counterfactualsWS answers every listed object against one ranked pass
@@ -201,11 +155,12 @@ func (e *Evaluator) CounterfactualWindow(bonus []float64, k float64, m int) ([]C
 // inside the order: a caller ranking arbitrary objects takes the pass
 // with anyRank, which makes an unmerged pass the full order. Either way
 // the boundary competitors (positions cnt-1 and, when cnt < n, cnt) must
-// lie inside the order. objs may alias the order (CounterfactualWindow passes a slice of
-// it); the inverse is built before any result is written, and nothing
-// below mutates either buffer. Every counterfactual path finishes here,
-// so their results are bit-identical by construction. The only error is a
-// rank lookup refusing offsets the merge already validated.
+// lie inside the order. objs may alias the order (a bundle's margin
+// window is a slice of it); the inverse is built before any result is
+// written, and nothing below mutates either buffer. Every counterfactual
+// path finishes here, so their results are bit-identical by construction.
+// The only error is a rank lookup refusing offsets the merge already
+// validated.
 func (e *Evaluator) counterfactualsWS(ws *engine.Workspace, ps rankPass, bonus []float64, cnt int, objs []int) ([]Counterfactual, error) {
 	n := e.d.N()
 	var inv []int
@@ -332,6 +287,8 @@ func minFlipDelta(eff, cutoff float64, obj, competitor int, selected bool) (d fl
 // the worker pool and duplicates — an attribute whose bonus is already
 // zero leaves the vector unchanged — are ranked only once.
 func (e *Evaluator) AttributeDisparity(bonus []float64, k float64) (*Attribution, error) {
+	// A wrong-length all-zero bonus canonicalizes to the zero vector inside
+	// the sweep, so the dimensions are checked on the raw vector here.
 	if err := e.checkBonusDims(bonus); err != nil {
 		return nil, err
 	}

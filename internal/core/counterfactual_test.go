@@ -170,56 +170,6 @@ func TestCounterfactualSingleMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestCounterfactualWindowMatchesBatch pins the single-ranking window
-// path: it must return exactly what CounterfactualBatch returns for the
-// boundary objects of the ranked order, clamped at the population edges.
-func TestCounterfactualWindowMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	d := cfDataset(t, rng, 300)
-	ev := NewEvaluator(d, rank.WeightedSum{Weights: []float64{1}}, rank.Adverse)
-	bonus := []float64{1.5, 0.5, 2}
-	for _, tc := range []struct {
-		k    float64
-		m    int
-		want int
-	}{
-		{0.1, 3, 6},
-		{1.0 / 300, 5, 6}, // cnt=1: left side clamps to one selected object
-		{1, 4, 4},         // cnt=n: right side clamps to the selected tail
-		{0.5, 1000, 300},  // window wider than the population
-	} {
-		win, err := ev.CounterfactualWindow(bonus, tc.k, tc.m)
-		if err != nil {
-			t.Fatalf("k=%g m=%d: %v", tc.k, tc.m, err)
-		}
-		if len(win) != tc.want {
-			t.Fatalf("k=%g m=%d: window has %d lines, want %d", tc.k, tc.m, len(win), tc.want)
-		}
-		objs := make([]int, len(win))
-		for i, cf := range win {
-			objs[i] = cf.Object
-		}
-		batch, err := ev.CounterfactualBatch(bonus, tc.k, objs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev := -1
-		for i := range win {
-			if win[i].Rank != batch[i].Rank || win[i].ScoreDelta != batch[i].ScoreDelta ||
-				win[i].Selected != batch[i].Selected || win[i].Feasible != batch[i].Feasible {
-				t.Errorf("k=%g m=%d line %d: window %+v != batch %+v", tc.k, tc.m, i, win[i], batch[i])
-			}
-			if win[i].Rank <= prev {
-				t.Errorf("k=%g m=%d: window not in rank order at line %d", tc.k, tc.m, i)
-			}
-			prev = win[i].Rank
-		}
-	}
-	if _, err := ev.CounterfactualWindow(bonus, 0.1, -1); err == nil {
-		t.Error("negative window size accepted")
-	}
-}
-
 // TestCounterfactualValidation covers the error paths: out-of-range
 // objects, mis-sized bonus vectors, bad fractions.
 func TestCounterfactualValidation(t *testing.T) {

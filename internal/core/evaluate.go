@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -178,15 +177,20 @@ type rankPass struct {
 //   - full sort, when anyRank is set or p covers half the population;
 //   - bounded heap: an O(n log p) selection plus a sort of those p ids.
 //
-// The latter two are counted by RankingCount. Because the ranking
-// comparator is a total order, every prefix route is bit-identical to the
-// full sort's leading segment. The result aliases ws (or the cached order
+// The latter two are counted by RankingCount. A bonus whose length is not
+// the dataset's fairness dimensionality (nil is the zero vector) is
+// refused before any route, so every entry point inherits the check.
+// Because the ranking comparator is a total order, every prefix route is
+// bit-identical to the full sort's leading segment. The result aliases ws (or the cached order
 // and scores) and must not outlive the workspace. The faultinject
 // rank.prefix site fires on every non-zero-bonus pass. Cancellation
 // surfaces there, from the merge's amortized checkpoint, or from the
 // single poll ahead of a scoring pass; a non-nil error means no pass was
 // produced.
 func (e *Evaluator) rankedPassWS(ctx context.Context, ws *engine.Workspace, bonus []float64, p int, anyRank bool) (rankPass, error) {
+	if err := e.checkBonusDims(bonus); err != nil {
+		return rankPass{}, err
+	}
 	n := e.d.N()
 	if isZero(bonus) {
 		if anyRank {
@@ -253,11 +257,12 @@ func (e *Evaluator) Order(bonus []float64) []int {
 	defer e.put(ws)
 	ps, err := e.rankedPassWS(context.Background(), ws, bonus, e.d.N(), false)
 	if err != nil {
-		// A background context never cancels: only an injected rank.prefix
-		// fault fails the pass, and Order has no error to return it in.
+		// A background context never cancels: only a bonus of the wrong
+		// length or an injected rank.prefix fault fails the pass, and Order
+		// has no error to return either in.
 		panic(err)
 	}
-	return slices.Clone(ps.order)
+	return append([]int(nil), ps.order...)
 }
 
 // Select returns the top-k fraction of the population under the bonus

@@ -73,9 +73,6 @@ func (e *Evaluator) Explain(bonus []float64, k float64) (*Explanation, error) {
 // one ranked prefix of the selection's length, which observes ctx as
 // rankedPassWS does; the uncompensated side reads the cached base order.
 func (e *Evaluator) ExplainCtx(ctx context.Context, bonus []float64, k float64) (*Explanation, error) {
-	if err := e.checkBonusDims(bonus); err != nil {
-		return nil, err
-	}
 	if e.d.N() == 0 {
 		return nil, fmt.Errorf("core: cannot explain an empty dataset")
 	}

@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"fairrank/internal/engine"
-	"fairrank/internal/metrics"
 )
 
 // Exposure-family evaluators (Section VI-C4/C5): per-capita exposure with
@@ -32,23 +29,6 @@ func (e *Evaluator) exposureGuard() error {
 		return fmt.Errorf("core: exposure metrics require binary fairness attributes; %q is continuous (register a WithFairColumns view of the binary columns)", off)
 	}
 	return nil
-}
-
-// exposureSideWS computes one order's per-capita exposure row and DDP at
-// the single cut in cuts using workspace scratch — the shared finisher of
-// the bundle passes (compensated and base side alike).
-func (e *Evaluator) exposureSideWS(ws *engine.Workspace, order []int, cuts []int) ([]float64, float64, error) {
-	gw := e.d.NumFair() + 1
-	sizes := ws.Cnts(gw)
-	metrics.PrefixExposureCountsInto(e.d, order, cuts, sizes)
-	expo := metrics.PrefixExposureInto(e.d, order, cuts, ws.PopN(gw), ws.Agg(gw))
-	ddp, err := metrics.DDPFromExposure(expo, sizes)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]float64, gw)
-	metrics.ExposurePerCapitaInto(expo, sizes, out)
-	return out, ddp, nil
 }
 
 // Exposure returns the per-capita exposure vector of the top-k selection

@@ -9,7 +9,6 @@ import (
 
 	"fairrank/internal/engine"
 	"fairrank/internal/metrics"
-	"fairrank/internal/rank"
 )
 
 // Prefix-sweep engine. A metric sweep is a set of (bonus, k) points; in
@@ -81,24 +80,13 @@ func bonusKey(b []float64) string {
 	return string(buf)
 }
 
-// groupPoints validates every selection fraction through count and
-// partitions the points into sweepGroups in first-appearance order. The
-// all-points-share-one-bonus fast path is a single comparison scan with no
-// map in sight.
-func (e *Evaluator) groupPoints(points []SweepPoint, count func(n int, frac float64) (int, error)) ([]sweepGroup, error) {
+// groupPoints partitions the points into sweepGroups in first-appearance
+// order; cuts holds each point's validated cut. The all-points-share-one-
+// bonus fast path is a single comparison scan with no map in sight.
+func groupPoints(points []SweepPoint, cuts []int) []sweepGroup {
 	if len(points) == 0 {
-		return nil, nil
+		return nil
 	}
-	n := e.d.N()
-	cnts := make([]int, len(points))
-	for i, pt := range points {
-		c, err := count(n, pt.K)
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep point %d (k=%g): %w", i, pt.K, err)
-		}
-		cnts[i] = c
-	}
-
 	var groups []sweepGroup
 	first := canonBonus(points[0].Bonus)
 	homogeneous := true
@@ -129,9 +117,9 @@ func (e *Evaluator) groupPoints(points []SweepPoint, count func(n int, frac floa
 		}
 	}
 	for gi := range groups {
-		groups[gi].setGrid(cnts)
+		groups[gi].setGrid(cuts)
 	}
-	return groups, nil
+	return groups
 }
 
 // setGrid deduplicates the cuts of the group's points into its ascending
@@ -166,41 +154,6 @@ func vectorRows(n, w int) [][]float64 {
 var metricKinds = []BatchKind{
 	BatchDisparity, BatchNDCG, BatchDisparateImpact, BatchFPRDiff,
 	BatchExposure, BatchExpRatio, BatchTopK,
-}
-
-// checkMetric refuses a kind the fold table does not answer, or a dataset
-// that lacks what the metric needs (outcomes, binary fairness
-// attributes).
-func (e *Evaluator) checkMetric(kind BatchKind) error {
-	switch kind {
-	case BatchDisparity, BatchNDCG, BatchDisparateImpact:
-		return nil
-	case BatchFPRDiff:
-		if !e.d.HasOutcomes() {
-			return fmt.Errorf("core: FPR evaluation requires outcomes")
-		}
-		return nil
-	case BatchExposure, BatchTopK:
-		return e.exposureGuard()
-	case BatchExpRatio:
-		if err := e.exposureGuard(); err != nil {
-			return err
-		}
-		if !e.d.HasOutcomes() {
-			return fmt.Errorf("core: exposure/merit ratio requires outcomes")
-		}
-		return nil
-	}
-	return fmt.Errorf("core: kind %d is not a sweep metric", kind)
-}
-
-// metricCount is the cut arithmetic a metric kind resolves its fractions
-// through: the nDCG cut, or the selection count of every other metric.
-func metricCount(kind BatchKind) func(n int, frac float64) (int, error) {
-	if kind == BatchNDCG {
-		return metrics.PrefixCount
-	}
-	return rank.SelectCount
 }
 
 // metricWidth is the row width of a metric kind's vector answers: one
@@ -319,19 +272,25 @@ func (e *Evaluator) foldWS(ws *engine.Workspace, kind BatchKind, order []int, g 
 // BatchNDCG), vals the nDCG values or, for BatchExposure, each row's DDP
 // (nil for the other kinds). Points sharing a canonical bonus vector are
 // ranked once and answered from prefix aggregates of that one order;
-// distinct bonus vectors fan over the worker pool. A point whose fold
-// fails (a zero ideal DCG, degenerate exposure groups) fails the sweep,
-// wrapped with the point's index and fraction. Once ctx is done no further
-// bonus group is ranked and the context's error is returned; no partial
-// result escapes.
+// distinct bonus vectors fan over the worker pool. Every point is checked
+// by the batch pass's query validator (checkQuery); a point it refuses,
+// or whose fold fails (a zero ideal DCG, degenerate exposure groups),
+// fails the sweep, wrapped with the point's index and fraction. Once ctx
+// is done no further bonus group is ranked and the context's error is
+// returned; no partial result escapes.
 func (e *Evaluator) Sweep(ctx context.Context, kind BatchKind, points []SweepPoint) (vecs [][]float64, vals []float64, err error) {
-	if err := e.checkMetric(kind); err != nil {
-		return nil, nil, err
+	if !slices.Contains(metricKinds, kind) {
+		return nil, nil, fmt.Errorf("core: kind %d is not a sweep metric", kind)
 	}
-	groups, err := e.groupPoints(points, metricCount(kind))
-	if err != nil {
-		return nil, nil, err
+	cuts := make([]int, len(points))
+	for i, pt := range points {
+		g, err := e.checkQuery(nil, BatchQuery{Kind: kind, K: pt.K})
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: sweep point %d (k=%g): %w", i, pt.K, err)
+		}
+		cuts[i] = g.cut
 	}
+	groups := groupPoints(points, cuts)
 	if w := e.metricWidth(kind); w > 0 {
 		vecs = vectorRows(len(points), w)
 	}
@@ -360,33 +319,13 @@ func (e *Evaluator) Sweep(ctx context.Context, kind BatchKind, points []SweepPoi
 	return vecs, vals, nil
 }
 
-// point answers one (bonus, k) point of a metric kind through the fold
-// table, failing with unwrapped errors. NDCG and the exposure family,
-// whose pointwise form is a one-cut prefix fold, answer through it.
+// point answers one (bonus, k) point of a metric kind as a one-query
+// batch (answerOne), failing with unwrapped errors. NDCG and the exposure
+// family, whose pointwise form is a one-cut prefix fold, answer through
+// it.
 func (e *Evaluator) point(ctx context.Context, kind BatchKind, bonus []float64, k float64) ([]float64, float64, error) {
-	if err := e.checkMetric(kind); err != nil {
-		return nil, 0, err
-	}
-	cut, err := metricCount(kind)(e.d.N(), k)
-	if err != nil {
-		return nil, 0, err
-	}
-	ws := e.ws()
-	defer e.put(ws)
-	ps, err := e.rankedPassWS(ctx, ws, bonus, cut, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	g := sweepGroup{pts: []int{0}, cuts: []int{cut}, cutPos: []int{0}}
-	vecs, vals, errs := [][]float64{nil}, []float64{0}, []error{nil}
-	if w := e.metricWidth(kind); w > 0 {
-		vecs[0] = make([]float64, w)
-	}
-	e.foldWS(ws, kind, ps.order, &g, vecs, vals, errs)
-	if errs[0] != nil {
-		return nil, 0, errs[0]
-	}
-	return vecs[0], vals[0], nil
+	a, err := e.answerOne(ctx, bonus, BatchQuery{Kind: kind, K: k})
+	return a.Vector, a.Value, err
 }
 
 // vecsOf and valsOf project Sweep's answers for the named sweeps.

@@ -248,19 +248,29 @@ func isZeroBonus(b []float64) bool {
 	return true
 }
 
-// batchableSweep reports whether a sweep's missing points can ride a
-// micro-batch: batching must be enabled and every point must share one
-// non-zero bonus vector. A zero bonus is answered from the cached base
-// order for free (nothing to share), and a multi-bonus sweep already
-// fans its per-bonus groups over the engine worker pool.
-func (s *Server) batchableSweep(pts []core.SweepPoint) ([]float64, bool) {
-	if s.batch == nil || len(pts) == 0 {
+// answer is the one place the service chooses between the micro-batch
+// window and an inline call; the counterfactual, report and single-bonus
+// evaluate pipelines all reach the engine through it. Queries sharing a
+// bonus ride the window when batching is on and the bonus is non-zero,
+// and otherwise run inline through the same AnswerBatchCtx pass: a zero
+// bonus is answered from the cached base order for free, so there is
+// nothing to share.
+func (s *Server) answer(ctx context.Context, e *Entry, bonus []float64, qs []core.BatchQuery) ([]core.BatchAnswer, error) {
+	if s.batch != nil && !isZeroBonus(bonus) {
+		return s.batch.submit(ctx, e, bonus, qs)
+	}
+	return e.eval.AnswerBatchCtx(ctx, bonus, qs)
+}
+
+// batchableSweep reports whether every point of a sweep shares one bonus
+// vector, so that the sweep is one batch of queries for answer. A
+// multi-bonus sweep stays on Evaluator.Sweep, which already fans its
+// per-bonus groups over the engine worker pool.
+func batchableSweep(pts []core.SweepPoint) ([]float64, bool) {
+	if len(pts) == 0 {
 		return nil, false
 	}
 	first := pts[0].Bonus
-	if isZeroBonus(first) {
-		return nil, false
-	}
 	for _, pt := range pts[1:] {
 		if !slices.Equal(first, pt.Bonus) {
 			return nil, false
@@ -269,10 +279,10 @@ func (s *Server) batchableSweep(pts []core.SweepPoint) ([]float64, bool) {
 	return first, true
 }
 
-// batchSweep answers one single-bonus sweep through the micro-batcher:
-// each point becomes one batch query, and the shared pass returns rows
-// bit-identical to the direct sweep engine — both resume the same prefix
-// folds over the same ranked prefix.
+// batchSweep answers one single-bonus sweep through answer: each point
+// becomes one query, and the shared pass returns rows bit-identical to
+// the sweep engine, since both resume the same prefix folds over the same
+// ranked prefix.
 func (s *Server) batchSweep(ctx context.Context, e *Entry, metric string, bonus []float64, pts []core.SweepPoint) ([][]float64, []float64, error) {
 	// The kind comes from the metric registry. An unmapped metric used to
 	// fall through a switch with no default, zero-valuing the kind into
@@ -286,13 +296,13 @@ func (s *Server) batchSweep(ctx context.Context, e *Entry, metric string, bonus 
 	for i, pt := range pts {
 		qs[i] = core.BatchQuery{Kind: spec.kind, K: pt.K}
 	}
-	answers, err := s.batch.submit(ctx, e, bonus, qs)
+	answers, err := s.answer(ctx, e, bonus, qs)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Per-query errors (ndcg's missing outcomes at a cut, exposure's
 	// degenerate prefixes) fail the whole sweep in the exact shape the
-	// direct engine reports: missing-local point index plus fraction.
+	// sweep engine reports: missing-local point index plus fraction.
 	for i, a := range answers {
 		if a.Err != nil {
 			return nil, nil, fmt.Errorf("core: sweep point %d (k=%g): %w", i, pts[i].K, a.Err)
@@ -312,12 +322,12 @@ func (s *Server) batchSweep(ctx context.Context, e *Entry, metric string, bonus 
 	return vecs, nil, nil
 }
 
-// batchReport builds one audit bundle's stats through the micro-batcher.
-// Validation mirrors the direct path exactly — the same report-layer
-// function, run before the window — so a malformed request is rejected
-// with byte-identical errors and never joins a batch, and the margin
-// normalization matches BuildBundleStats' (zero maps to the default).
-func (s *Server) batchReport(ctx context.Context, e *Entry, cfg report.BundleConfig) (*core.BundleStats, error) {
+// reportStats builds one audit bundle's stats through answer.
+// Validation is the report layer's own, run before any window, so a
+// malformed request is rejected with the library's wording and never
+// joins a batch, and the margin normalization matches BuildBundleStats'
+// (zero maps to the default).
+func (s *Server) reportStats(ctx context.Context, e *Entry, cfg report.BundleConfig) (*core.BundleStats, error) {
 	margins, err := report.ValidateBundleConfig(e.eval, cfg)
 	if err != nil {
 		return nil, err
@@ -329,14 +339,11 @@ func (s *Server) batchReport(ctx context.Context, e *Entry, cfg report.BundleCon
 		IncludeFPR:      cfg.IncludeFPR,
 		IncludeExposure: cfg.IncludeExposure,
 	}
-	answers, err := s.batch.submit(ctx, e, cfg.Bonus, []core.BatchQuery{
+	answers, err := s.answer(ctx, e, cfg.Bonus, []core.BatchQuery{
 		{Kind: core.BatchBundle, Bundle: bcfg},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if answers[0].Err != nil {
-		return nil, answers[0].Err
-	}
-	return answers[0].Bundle, nil
+	return answers[0].Bundle, answers[0].Err
 }

@@ -147,10 +147,12 @@ func writeHTTPError(w http.ResponseWriter, r *http.Request, err error) {
 
 // pipelineErr classifies an error out of a compute pipeline: context
 // errors pass through untouched so writeHTTPError can apply the
-// cancellation mapping; anything else was the request's mistake (or, for
-// status 5xx, the server's) and is wrapped with the given status.
+// cancellation mapping, and so do status-carrying errors (a batch shed or
+// panic keeps its own status); anything else was the request's mistake
+// (or, for status 5xx, the server's) and is wrapped with the given status.
 func pipelineErr(err error, status int) error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	var he *httpError
+	if errors.As(err, &he) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
 	return &httpError{status: status, msg: err.Error()}
@@ -320,10 +322,10 @@ func (s *Server) evaluateSweep(ctx context.Context, e *Entry, req EvaluateReques
 		var vecs [][]float64
 		var vals []float64
 		var err error
-		if bonus, ok := s.batchableSweep(pts); ok {
-			// Single non-zero bonus: the whole sweep rides the micro-batch
-			// window, sharing one ranked pass with every other concurrent
-			// request on the same (dataset, bonus).
+		if bonus, ok := batchableSweep(pts); ok {
+			// Single bonus: the sweep is one batch of queries, sharing one
+			// ranked pass with every other concurrent request on the same
+			// (dataset, bonus) when batching is on.
 			vecs, vals, err = s.batchSweep(ctx, e, req.Metric, bonus, pts)
 		} else {
 			vecs, vals, err = e.eval.Sweep(ctx, spec.kind, pts)
@@ -334,10 +336,6 @@ func (s *Server) evaluateSweep(ctx context.Context, e *Entry, req EvaluateReques
 			// or canceled request cannot poison the per-point cache with
 			// partial results — and a failed BATCH leaves every member's
 			// keys cold, since each member caches only its own rows here.
-			var he *httpError
-			if errors.As(err, &he) {
-				return EvaluateResponse{}, err // batch shed/panic keeps its own status
-			}
 			return EvaluateResponse{}, pipelineErr(err, http.StatusBadRequest)
 		}
 		for r, i := range missing {
@@ -528,33 +526,17 @@ func (s *Server) runCounterfactual(ctx context.Context, e *Entry, req Counterfac
 		for r, i := range missing {
 			objs[r] = req.Objects[i]
 		}
-		var cfs []core.Counterfactual
-		var err error
-		if s.batch != nil && !isZeroBonus(req.Bonus) {
-			// The request becomes one query of a shared-bonus micro-batch;
-			// a zero bonus skips the window (the cached base order answers
-			// it for free, so there is nothing to share).
-			var answers []core.BatchAnswer
-			answers, err = s.batch.submit(ctx, e, req.Bonus, []core.BatchQuery{
-				{Kind: core.BatchCounterfactual, K: req.K, Objects: objs},
-			})
-			if err == nil {
-				cfs = answers[0].Counterfactuals
-			}
-		} else {
-			cfs, err = e.eval.CounterfactualBatchCtx(ctx, req.Bonus, req.K, objs)
-		}
+		// The request is one counterfactual query of the shared pass.
+		answers, err := s.answer(ctx, e, req.Bonus, []core.BatchQuery{
+			{Kind: core.BatchCounterfactual, K: req.K, Objects: objs},
+		})
 		if err != nil {
 			// As with sweeps, per-object rows are cached only after the
 			// whole batch succeeded — cancellation leaves the cache clean.
-			var he *httpError
-			if errors.As(err, &he) {
-				return CounterfactualResponse{}, err
-			}
 			return CounterfactualResponse{}, pipelineErr(err, http.StatusBadRequest)
 		}
 		for r, i := range missing {
-			res := toCounterfactualResult(cfs[r])
+			res := toCounterfactualResult(answers[0].Counterfactuals[r])
 			resp.Results[i] = res
 			s.cache.put(keys[i], res)
 		}
@@ -688,23 +670,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 				IncludeFPR:      includeFPR,
 				IncludeExposure: includeExposure,
 			}
-			var st *core.BundleStats
-			var err error
-			if s.batch != nil {
-				st, err = s.batchReport(ctx, e, rcfg)
-			} else {
-				st, err = report.BuildBundleStatsCtx(ctx, e.eval, rcfg)
-			}
+			st, err := s.reportStats(ctx, e, rcfg)
 			if err != nil {
 				// Build rejections are request mistakes (bad fraction,
 				// zero policy, FPR without outcomes), not server faults;
 				// cancellation passes through to the context mapping. The
 				// bundle and the margin seeds reach the cache only on
 				// success, so an abandoned build caches nothing.
-				var he *httpError
-				if errors.As(err, &he) {
-					return nil, err
-				}
 				return nil, pipelineErr(err, http.StatusBadRequest)
 			}
 			b := report.FromStats(e.eval, e.name, st)

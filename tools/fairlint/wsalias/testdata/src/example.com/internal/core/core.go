@@ -14,6 +14,22 @@ func orderWS(ws *engine.Workspace, n int) []int {
 	return ws.Ord(n)
 }
 
+// pass stands in for the evaluator's ranked pass, returned with an error
+// by the *WS seams below.
+type pass struct {
+	order []int
+	eff   []float64
+}
+
+func rankedPassWS(ws *engine.Workspace, p int) (pass, error) {
+	return pass{order: ws.Ord(p), eff: ws.Eff(p)}, nil
+}
+
+func selectWS(ws *engine.Workspace, p int) ([]int, error) {
+	ps, err := rankedPassWS(ws, p)
+	return ps.order, err
+}
+
 // fillRanked stands in for rank.OrderInto: it fills and returns the
 // caller's index buffer.
 func fillRanked(eff []float64, idx []int) []int {
@@ -35,6 +51,21 @@ func returnsScratchSlice(ws *engine.Workspace) []float64 {
 func returnsSeamResult(ws *engine.Workspace) []int {
 	order := orderWS(ws, 8)
 	return order // want `returnsSeamResult returns a slice aliasing pooled workspace scratch`
+}
+
+func returnsPassOrder(ws *engine.Workspace) []int {
+	ps, _ := rankedPassWS(ws, 8)
+	return ps.order // want `returnsPassOrder returns a slice aliasing pooled workspace scratch`
+}
+
+func returnsPassScores(ws *engine.Workspace) []float64 {
+	ps, _ := rankedPassWS(ws, 8)
+	return ps.eff // want `returnsPassScores returns a slice aliasing pooled workspace scratch`
+}
+
+func returnsTupleSeamResult(ws *engine.Workspace) []int {
+	sel, _ := selectWS(ws, 8)
+	return sel // want `returnsTupleSeamResult returns a slice aliasing pooled workspace scratch`
 }
 
 func returnsFilledBuffer(ws *engine.Workspace) []int {

@@ -20,8 +20,11 @@
 // The tracking is intraprocedural; results of calls are treated as
 // aliasing when the callee follows the *WS naming convention or is
 // passed an aliasing buffer of the same type it returns (the
-// rank.OrderInto(eff, ws.Ord(n)) shape). Copies via
-// append(nil-or-fresh, src...) or copy() stay clean.
+// rank.OrderInto(eff, ws.Ord(n)) shape); a tuple assignment from a *WS
+// call keeps its slice and struct results aliasing (ps, err :=
+// e.rankedPassWS(...)), and so do slice fields of an aliasing struct
+// (ps.order). Copies via append(nil-or-fresh, src...) or copy() stay
+// clean.
 package wsalias
 
 import (
@@ -107,7 +110,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 		changed = false
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
+			if !ok {
 				return true
 			}
 			for i, lhs := range as.Lhs {
@@ -122,7 +125,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 				if obj == nil || c.tainted[obj] {
 					continue
 				}
-				if c.aliases(as.Rhs[i]) {
+				if c.assignedAliases(as, i) {
 					c.tainted[obj] = true
 					changed = true
 				}
@@ -160,10 +163,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
-				if i >= len(n.Rhs) {
-					break
-				}
-				if !c.aliases(n.Rhs[i]) {
+				if !c.assignedAliases(n, i) {
 					continue
 				}
 				switch l := lhs.(type) {
@@ -205,6 +205,44 @@ func (c *checker) checkReturned(fn string, e ast.Expr) {
 	}
 }
 
+// assignedAliases reports whether the i-th left-hand side of an
+// assignment receives workspace scratch: its own right-hand side
+// aliases, or a tuple assignment unpacks a *WS call whose i-th result is
+// a slice of basic type or a struct.
+func (c *checker) assignedAliases(as *ast.AssignStmt, i int) bool {
+	if len(as.Lhs) == len(as.Rhs) {
+		return c.aliases(as.Rhs[i])
+	}
+	call, ok := as.Rhs[0].(*ast.CallExpr)
+	if !ok || !c.seamCall(call) {
+		return false
+	}
+	t := c.pass.TypesInfo.TypeOf(call).(*types.Tuple).At(i).Type()
+	_, isStruct := t.Underlying().(*types.Struct)
+	return isStruct || c.sliceOfBasic(t)
+}
+
+// seamCall reports whether a *WS-named callee is handed a workspace (or
+// an aliasing buffer), which by convention makes its results aliasing.
+func (c *checker) seamCall(call *ast.CallExpr) bool {
+	name := ""
+	switch f := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		name = f.Sel.Name
+	case *ast.Ident:
+		name = f.Name
+	}
+	if !strings.HasSuffix(name, "WS") {
+		return false
+	}
+	for _, a := range call.Args {
+		if c.isWorkspaceExpr(a) || c.aliases(a) {
+			return true
+		}
+	}
+	return false
+}
+
 // aliases reports whether the expression's value is a view of
 // workspace scratch memory.
 func (c *checker) aliases(e ast.Expr) bool {
@@ -240,29 +278,11 @@ func (c *checker) callAliases(call *ast.CallExpr) bool {
 		return false
 	}
 	// Buffer accessor on a workspace (ws.Eff(n)) or on an already
-	// aliasing value.
-	callee := ""
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if c.isWorkspaceExpr(sel.X) || c.aliases(sel.X) {
-			return true
-		}
-		callee = sel.Sel.Name
-	} else if id, ok := call.Fun.(*ast.Ident); ok {
-		callee = id.Name
+	// aliasing value, or a *WS seam.
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (c.isWorkspaceExpr(sel.X) || c.aliases(sel.X)) {
+		return true
 	}
-	// A *WS-named callee handed a workspace (or an aliasing buffer)
-	// returns ws-aliasing data by convention.
-	wsArg := false
-	for _, a := range call.Args {
-		if c.isWorkspaceExpr(a) || c.aliases(a) {
-			wsArg = true
-			break
-		}
-	}
-	if !wsArg {
-		return false
-	}
-	if strings.HasSuffix(callee, "WS") {
+	if c.seamCall(call) {
 		return true
 	}
 	// Fill-and-return shape: an aliasing buffer of the result's own
