@@ -54,7 +54,7 @@ func main() {
 		synthList = flag.String("synth", "", "synthetic datasets to load: comma-separated subset of school,compas")
 		synthN    = flag.Int("synth-n", 0, "synthetic population size (0 = paper default)")
 		synthSeed = flag.Int64("synth-seed", 0, "synthetic generator seed (0 = paper default)")
-		cacheSize = flag.Int("cache", 0, "train-result cache entries (0 = default, negative disables)")
+		cacheSize = flag.Int("cache", 0, "result cache entries: train responses, sweep and counterfactual rows, audit bundles (0 = default, negative disables)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 
 		timeout   = flag.Duration("timeout", 60*time.Second, "default per-request deadline for /v1 endpoints (0 disables)")

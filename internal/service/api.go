@@ -7,6 +7,7 @@ import (
 
 	"fairrank/internal/core"
 	"fairrank/internal/rank"
+	"fairrank/internal/report"
 )
 
 // MaxSweepPoints bounds one /v1/evaluate request: enough for a dense
@@ -127,11 +128,12 @@ func (r TrainRequest) normalize() (*trainParams, error) {
 	return p, nil
 }
 
-// cacheKey identifies a normalized request. Training is deterministic in
-// these fields (plus the dataset's registered polarity, implied by the
-// dataset name), so equal keys mean bit-identical results.
+// cacheKey identifies a normalized request in the result cache and its
+// flight. Training is deterministic in these fields (plus the dataset's
+// registered polarity, implied by the dataset name), so equal keys mean
+// bit-identical results.
 func (p *trainParams) cacheKey() string {
-	return fmt.Sprintf("%s|%s|%g|%s|%d|%d|%g|%g|%d",
+	return fmt.Sprintf("train|%s|%s|%g|%s|%d|%d|%g|%g|%d",
 		p.req.Dataset, p.req.Objective, p.req.K, p.mode,
 		p.req.SampleSize, p.req.Seed, *p.req.Granularity, p.req.MaxBonus, *p.req.RefineSteps)
 }
@@ -185,37 +187,39 @@ type EvaluateRequest struct {
 	Points []SweepPointRequest `json:"points"`
 }
 
-// validate checks everything that does not need the dataset; dims is the
-// fairness dimensionality of the resolved dataset.
-func (r EvaluateRequest) validate(dims int) error {
-	if _, ok := metricByName(r.Metric); !ok {
-		return fmt.Errorf("unknown metric %q (want %s)", r.Metric, metricWantList())
+// validate checks the request against the resolved dataset and returns
+// the registry row of its metric: the one metricByName lookup of an
+// evaluate request.
+func (r EvaluateRequest) validate(e *Entry) (metricSpec, error) {
+	spec, ok := metricByName(r.Metric)
+	if !ok {
+		return metricSpec{}, fmt.Errorf("unknown metric %q (want %s)", r.Metric, metricWantList())
 	}
 	if len(r.Points) == 0 {
-		return fmt.Errorf("no evaluation points")
+		return metricSpec{}, fmt.Errorf("no evaluation points")
 	}
 	if len(r.Points) > MaxSweepPoints {
-		return fmt.Errorf("%d evaluation points exceed the limit of %d", len(r.Points), MaxSweepPoints)
+		return metricSpec{}, fmt.Errorf("%d evaluation points exceed the limit of %d", len(r.Points), MaxSweepPoints)
 	}
 	for i, pt := range r.Points {
 		if err := rank.CheckFraction(pt.K); err != nil {
-			return fmt.Errorf("point %d: %v", i, err)
+			return metricSpec{}, fmt.Errorf("point %d: %v", i, err)
 		}
-		// A nil bonus means "the uncompensated ranking"; anything else
-		// must be a full non-negative vector.
-		if pt.Bonus == nil {
-			continue
-		}
-		if len(pt.Bonus) != dims {
-			return fmt.Errorf("point %d: bonus has %d dimensions, dataset has %d", i, len(pt.Bonus), dims)
-		}
-		for j, b := range pt.Bonus {
-			if math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
-				return fmt.Errorf("point %d: bonus dimension %d is %v, want finite and non-negative", i, j, b)
+		// A nil bonus means "the uncompensated ranking".
+		if pt.Bonus != nil {
+			if err := e.checkBonus(pt.Bonus); err != nil {
+				return metricSpec{}, fmt.Errorf("point %d: %v", i, err)
 			}
 		}
 	}
-	return nil
+	// Dataset-capability guard from the registry row: fpr needs outcomes,
+	// the exposure family needs binary fairness attributes.
+	if spec.check != nil {
+		if err := spec.check(e); err != nil {
+			return metricSpec{}, err
+		}
+	}
+	return spec, nil
 }
 
 // EvaluateResponse carries the sweep results in point order. Vector
@@ -240,14 +244,7 @@ type EvaluateResponse struct {
 // exact bit pattern of every dimension. Exact bits make the sweep cache
 // exact: equal signatures imply bit-identical rows.
 func appendBonusSig(b []byte, bonus []float64) []byte {
-	zero := true
-	for _, v := range bonus {
-		if v != 0 {
-			zero = false
-			break
-		}
-	}
-	if zero {
+	if isZeroBonus(bonus) {
 		return append(b, '0')
 	}
 	for j, v := range bonus {
@@ -257,6 +254,15 @@ func appendBonusSig(b []byte, bonus []float64) []byte {
 		b = strconv.AppendUint(b, math.Float64bits(v), 16)
 	}
 	return b
+}
+
+func isZeroBonus(b []float64) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // pointKey identifies one (dataset, metric, bonus, k) sweep row in the
@@ -313,10 +319,8 @@ type CounterfactualRequest struct {
 	Objects []int     `json:"objects"`
 }
 
-// validate checks everything that does not need the dataset; dims is the
-// fairness dimensionality of the resolved dataset. Object-range checks
-// need the population size and happen in the handler.
-func (r CounterfactualRequest) validate(dims int) error {
+// validate checks the request against the resolved dataset.
+func (r CounterfactualRequest) validate(e *Entry) error {
 	if err := rank.CheckFraction(r.K); err != nil {
 		return err
 	}
@@ -327,13 +331,13 @@ func (r CounterfactualRequest) validate(dims int) error {
 		return fmt.Errorf("%d objects exceed the limit of %d", len(r.Objects), MaxCounterfactualObjects)
 	}
 	if r.Bonus != nil {
-		if len(r.Bonus) != dims {
-			return fmt.Errorf("bonus has %d dimensions, dataset has %d", len(r.Bonus), dims)
+		if err := e.checkBonus(r.Bonus); err != nil {
+			return err
 		}
-		for j, b := range r.Bonus {
-			if math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
-				return fmt.Errorf("bonus dimension %d is %v, want finite and non-negative", j, b)
-			}
+	}
+	for i, obj := range r.Objects {
+		if obj < 0 || obj >= e.d.N() {
+			return fmt.Errorf("object %d (index %d) outside [0,%d)", obj, i, e.d.N())
 		}
 	}
 	return nil
@@ -401,23 +405,23 @@ type CounterfactualResponse struct {
 // reportKey identifies a built audit bundle in the result cache. The
 // rendering format is deliberately absent: the cache stores the bundle,
 // and each request renders its own format from it.
-func reportKey(dataset string, bonus []float64, k float64, margins int, fpr, exposure bool) string {
+func reportKey(cfg report.BundleConfig) string {
 	b := make([]byte, 0, 64)
 	b = append(b, "report|"...)
-	b = append(b, dataset...)
+	b = append(b, cfg.Dataset...)
 	b = append(b, '|')
-	b = appendBonusSig(b, bonus)
+	b = appendBonusSig(b, cfg.Bonus)
 	b = append(b, '|')
-	b = strconv.AppendUint(b, math.Float64bits(k), 16)
+	b = strconv.AppendUint(b, math.Float64bits(cfg.K), 16)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(margins), 10)
+	b = strconv.AppendInt(b, int64(cfg.Margins), 10)
 	b = append(b, '|')
-	if fpr {
+	if cfg.IncludeFPR {
 		b = append(b, '1')
 	} else {
 		b = append(b, '0')
 	}
-	if exposure {
+	if cfg.IncludeExposure {
 		b = append(b, 'e')
 	}
 	return string(b)

@@ -239,15 +239,6 @@ func (b *batcher) run(ctx context.Context, g *batchGroup, live []*batchCall) (an
 // the conversion to a response happens here instead of in recovered.
 var errBatchPanic = &httpError{status: http.StatusInternalServerError, msg: "internal error"}
 
-func isZeroBonus(b []float64) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // answer is the one place the service chooses between the micro-batch
 // window and an inline call; the counterfactual, report and single-bonus
 // evaluate pipelines all reach the engine through it. Queries sharing a
@@ -280,18 +271,10 @@ func batchableSweep(pts []core.SweepPoint) ([]float64, bool) {
 }
 
 // batchSweep answers one single-bonus sweep through answer: each point
-// becomes one query, and the shared pass returns rows bit-identical to
-// the sweep engine, since both resume the same prefix folds over the same
-// ranked prefix.
-func (s *Server) batchSweep(ctx context.Context, e *Entry, metric string, bonus []float64, pts []core.SweepPoint) ([][]float64, []float64, error) {
-	// The kind comes from the metric registry. An unmapped metric used to
-	// fall through a switch with no default, zero-valuing the kind into
-	// BatchDisparity and silently serving disparity rows under the wrong
-	// metric name; now it refuses loudly before any query is built.
-	spec, ok := metricByName(metric)
-	if !ok {
-		return nil, nil, fmt.Errorf("metric %q has no batch kind in the service registry", metric)
-	}
+// becomes one query of the metric's kind, and the shared pass returns rows
+// bit-identical to the sweep engine, since both resume the same prefix
+// folds over the same ranked prefix.
+func (s *Server) batchSweep(ctx context.Context, e *Entry, spec metricSpec, bonus []float64, pts []core.SweepPoint) ([][]float64, []float64, error) {
 	qs := make([]core.BatchQuery, len(pts))
 	for i, pt := range pts {
 		qs[i] = core.BatchQuery{Kind: spec.kind, K: pt.K}

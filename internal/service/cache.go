@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// lruCache is a mutex-guarded LRU for train results. Training is
-// deterministic given the normalized request, so entries never go stale;
-// eviction only bounds memory. A negative capacity disables the cache.
+// lruCache is the mutex-guarded result LRU: train responses, sweep rows,
+// counterfactual rows and audit bundles. Every answer is deterministic in
+// its key, so entries never go stale; eviction only bounds memory. A
+// negative capacity disables the cache.
 type lruCache struct {
 	mu    sync.Mutex
 	max   int

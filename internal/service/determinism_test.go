@@ -10,9 +10,9 @@ import (
 	"fairrank/internal/synth"
 )
 
-// These tests pin the order-independence of the four scatter/gather
-// loops in handlers.go (runEvaluate and runCounterfactual): the
-// `missing` gather lists are index-ordered []int slices — NOT maps, so
+// These tests pin the order-independence of the scatter/gather loops in
+// handlers.go (cachedRows, behind evaluateSweep and runCounterfactual):
+// the `missing` gather lists are index-ordered []int slices — NOT maps, so
 // Go's randomized map iteration order cannot reach them — and the
 // response must be invariant under every way the cache could have
 // partitioned the batch. Each trial pre-warms a random subset of the

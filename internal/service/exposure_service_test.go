@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"fairrank/internal/core"
 	"fairrank/internal/metrics"
 )
 
@@ -201,29 +200,5 @@ func TestReportExposureSection(t *testing.T) {
 
 	if code, body = getJSON(t, ts.URL+"/v1/report?dataset=school&bonus=1,2,3,4&k=0.2&exposure=2", nil); code != http.StatusBadRequest {
 		t.Errorf("exposure=2: %d %s, want 400", code, body)
-	}
-}
-
-// TestBatchSweepUnknownMetricFailsLoudly is the regression test for the
-// silent metric-kind misrouting: batchSweep used to map unknown metrics
-// through a switch with no default, so the zero-valued BatchKind served
-// DISPARITY rows under whatever name the caller passed. It must refuse
-// instead.
-func TestBatchSweepUnknownMetricFailsLoudly(t *testing.T) {
-	s, _ := newDiffServer(t, Config{BatchSize: 4, BatchMaxWait: time.Millisecond})
-	e, ok := s.reg.Get("compas")
-	if !ok {
-		t.Fatal("compas not registered")
-	}
-	pts := []core.SweepPoint{{Bonus: []float64{1, 1, 1, 1, 1, 1}, K: 0.1}}
-	vecs, vals, err := s.batchSweep(context.Background(), e, "entropy", []float64{1, 1, 1, 1, 1, 1}, pts)
-	if err == nil {
-		t.Fatalf("unmapped metric answered (vecs %v, vals %v), want an error", vecs, vals)
-	}
-	if !strings.Contains(err.Error(), `"entropy"`) || !strings.Contains(err.Error(), "registry") {
-		t.Errorf("error %q does not name the metric and the registry", err)
-	}
-	if vecs != nil || vals != nil {
-		t.Errorf("failed lookup still returned rows: %v %v", vecs, vals)
 	}
 }

@@ -9,15 +9,16 @@ import (
 // flightGroup coalesces concurrent duplicate work: while one caller (the
 // leader) runs fn for a key, every other caller with the same key blocks
 // and shares the leader's result instead of re-running the pipeline. The
-// server wraps the cold paths of /v1/train and /v1/evaluate in it, so a
-// thundering herd of identical what-if requests — N dashboards refreshing
-// the same query — costs one training run, not N.
+// server wraps the cold path of every /v1 endpoint but explain in it
+// (train and report through Server.cachedFlight), so a thundering herd of
+// identical what-if requests — N dashboards refreshing the same query —
+// costs one computation, not N.
 //
 // Unlike a cache, a flight lives only as long as its computation: the
 // result itself is stored in the LRU by fn, and late arrivals find it
-// there. fn must therefore populate the cache before returning (the
-// handlers' fns do), or re-check it first, so the delete-after-done window
-// cannot duplicate work.
+// there. fn must therefore populate the cache before returning, or
+// re-check it first (cachedFlight does both), so the delete-after-done
+// window cannot duplicate work.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight

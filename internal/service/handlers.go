@@ -1,12 +1,14 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
+	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -42,7 +44,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // decodeJSON strictly parses a request body: size-capped, unknown fields
 // rejected (a typo'd option silently ignored is a wrong what-if answer),
-// trailing garbage rejected.
+// trailing garbage rejected — a stray closing bracket included, which
+// dec.More() would not see.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
@@ -50,7 +53,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	if err := dec.Decode(dst); err != nil {
 		return err
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("trailing data after JSON body")
 	}
 	return nil
@@ -85,28 +88,76 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-
-	key := p.cacheKey()
-	if v, ok := s.cache.get(key); ok {
-		resp := v.(TrainResponse)
-		resp.Cached = true
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	// Cold: coalesce concurrent identical requests so a thundering herd
-	// runs the pipeline once. Followers (shared=true) report Cached.
 	ctx := r.Context()
-	v, shared, err := s.flights.Do(ctx, "train|"+key, func() (any, error) {
-		return s.runTrain(ctx, e, p, key)
+	v, cached, err := s.cachedFlight(ctx, p.cacheKey(), func() (any, error) {
+		return s.runTrain(ctx, e, p)
 	})
 	if err != nil {
 		writeHTTPError(w, r, err)
 		return
 	}
 	resp := v.(TrainResponse)
-	resp.Cached = resp.Cached || shared
+	resp.Cached = cached
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// cachedFlight is the cold path of the whole-response endpoints (train
+// and report): probe the LRU; on a miss, coalesce concurrent identical
+// requests into one flight whose leader probes again — closing the race
+// with a flight for the same key that completed after the first probe —
+// then runs fn and caches its value only on success, so a failed or
+// canceled pipeline caches nothing. cached reports that the value came
+// from the LRU or from another caller's flight rather than from this
+// caller's fn.
+func (s *Server) cachedFlight(ctx context.Context, key string, fn func() (any, error)) (v any, cached bool, err error) {
+	if v, ok := s.cache.get(key); ok {
+		return v, true, nil
+	}
+	hit := false // written and read only by the leader's goroutine
+	v, shared, err := s.flights.Do(ctx, key, func() (any, error) {
+		if v, ok := s.cache.get(key); ok {
+			hit = true
+			return v, nil
+		}
+		v, err := fn()
+		if err == nil {
+			s.cache.put(key, v)
+		}
+		return v, err
+	})
+	return v, hit || shared, err
+}
+
+// cachedRows is the cold path of the per-row endpoints (evaluate points,
+// counterfactual objects): every row the LRU holds under keys[i] answers
+// from it, and one compute call answers the rest. missing lists request
+// indexes in request order — a slice, never a map, so the gather is
+// deterministic whatever the cache held (pinned by the gather-order tests)
+// — and compute returns one row per missing index, in that order. Rows
+// reach the cache only after compute succeeded, so a failed or canceled
+// request (or a failed batch it rode) leaves every key cold.
+func cachedRows[T any](s *Server, keys []string, compute func(missing []int) ([]T, error)) (rows []T, cached int, err error) {
+	rows = make([]T, len(keys))
+	var missing []int
+	for i, key := range keys {
+		if v, ok := s.cache.get(key); ok {
+			rows[i] = v.(T)
+			continue
+		}
+		missing = append(missing, i)
+	}
+	if len(missing) == 0 {
+		return rows, len(keys), nil
+	}
+	fresh, err := compute(missing)
+	if err != nil {
+		return nil, 0, err
+	}
+	for r, i := range missing {
+		rows[i] = fresh[r]
+		s.cache.put(keys[i], fresh[r])
+	}
+	return rows, len(keys) - len(missing), nil
 }
 
 // writeHTTPError maps a pipeline failure to a response. Status-carrying
@@ -158,16 +209,9 @@ func pipelineErr(err error, status int) error {
 	return &httpError{status: status, msg: err.Error()}
 }
 
-// runTrain is the cold train pipeline: train, evaluate the diagnostics,
-// cache the response. It runs inside a flight; the leading cache re-check
-// closes the race where a request misses the LRU just as another flight
-// for the same key completes.
-func (s *Server) runTrain(ctx context.Context, e *Entry, p *trainParams, key string) (TrainResponse, error) {
-	if v, ok := s.cache.get(key); ok {
-		resp := v.(TrainResponse)
-		resp.Cached = true
-		return resp, nil
-	}
+// runTrain is the cold train pipeline: train, then evaluate the
+// diagnostics. It runs as the fn of a cachedFlight.
+func (s *Server) runTrain(ctx context.Context, e *Entry, p *trainParams) (TrainResponse, error) {
 	if err := faultinject.Fire(ctx, faultinject.SiteTrainStart); err != nil {
 		return TrainResponse{}, err
 	}
@@ -198,19 +242,23 @@ func (s *Server) runTrain(ctx context.Context, e *Entry, p *trainParams, key str
 	}
 
 	// The baseline disparity reads the cached uncompensated order: no
-	// ranked pass.
+	// ranked pass. The trained vector's disparity and nDCG are two queries
+	// of one inline pass; a train never waits in the batch window.
 	before, err := e.eval.DisparityCtx(ctx, nil, p.req.K)
+	var answers []core.BatchAnswer
+	if err == nil {
+		answers, err = e.eval.AnswerBatchCtx(ctx, res.Bonus, []core.BatchQuery{
+			{Kind: core.BatchDisparity, K: p.req.K},
+			{Kind: core.BatchNDCG, K: p.req.K},
+		})
+	}
+	if err == nil {
+		err = cmp.Or(answers[0].Err, answers[1].Err)
+	}
 	if err != nil {
 		return TrainResponse{}, pipelineErr(fmt.Errorf("evaluating trained vector: %w", err), http.StatusInternalServerError)
 	}
-	after, err := e.eval.DisparityCtx(ctx, res.Bonus, p.req.K)
-	if err != nil {
-		return TrainResponse{}, pipelineErr(fmt.Errorf("evaluating trained vector: %w", err), http.StatusInternalServerError)
-	}
-	ndcg, err := e.eval.NDCGCtx(ctx, res.Bonus, p.req.K)
-	if err != nil {
-		return TrainResponse{}, pipelineErr(fmt.Errorf("evaluating trained vector: %w", err), http.StatusInternalServerError)
-	}
+	after := answers[0].Vector
 	resp := TrainResponse{
 		Dataset:         p.req.Dataset,
 		Objective:       p.req.Objective,
@@ -227,10 +275,9 @@ func (s *Server) runTrain(ctx context.Context, e *Entry, p *trainParams, key str
 		DisparityAfter:  after,
 		NormBefore:      metrics.Norm(before),
 		NormAfter:       metrics.Norm(after),
-		NDCG:            ndcg,
+		NDCG:            answers[1].Value,
 		ElapsedMicros:   res.Elapsed.Microseconds(),
 	}
-	s.cache.put(key, resp)
 	return resp, nil
 }
 
@@ -244,23 +291,16 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := req.validate(e.d.NumFair()); err != nil {
+	spec, err := req.validate(e)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	// Dataset-capability guard from the metric registry: fpr needs
-	// outcomes, the exposure family needs binary fairness attributes.
-	if spec, ok := metricByName(req.Metric); ok && spec.check != nil {
-		if err := spec.check(e); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 	}
 	// Coalesce concurrent identical sweeps; the leader probes the
 	// per-point cache and computes only the missing rows.
 	ctx := r.Context()
 	v, _, err := s.flights.Do(ctx, req.requestKey(), func() (any, error) {
-		return s.evaluateSweep(ctx, e, req)
+		return s.evaluateSweep(ctx, e, req, spec)
 	})
 	if err != nil {
 		writeHTTPError(w, r, err)
@@ -269,87 +309,50 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v.(EvaluateResponse))
 }
 
-// evaluateSweep answers a sweep from the per-point row cache plus one
-// prefix-sweep computation over the missing points. Rows are cached under
+// evaluateSweep answers a sweep through cachedRows: rows are cached under
 // (dataset, metric, bonus bits, k bits), so any earlier sweep that covered
 // a point answers it — a subset of a cached k-grid costs len(points) map
 // lookups, and a widened grid ranks once for just the new cuts.
-func (s *Server) evaluateSweep(ctx context.Context, e *Entry, req EvaluateRequest) (EvaluateResponse, error) {
+func (s *Server) evaluateSweep(ctx context.Context, e *Entry, req EvaluateRequest, spec metricSpec) (EvaluateResponse, error) {
 	if err := faultinject.Fire(ctx, faultinject.SiteEvaluateStart); err != nil {
 		return EvaluateResponse{}, err
 	}
-	resp := EvaluateResponse{Dataset: req.Dataset, Metric: req.Metric, FairNames: e.d.FairNames()}
-	n := len(req.Points)
-	spec, ok := metricByName(req.Metric)
-	if !ok {
-		// validate() already rejected unknown names; reaching here means a
-		// caller skipped it. Fail loudly rather than guess a metric.
-		return EvaluateResponse{}, pipelineErr(fmt.Errorf("metric %q missing from the service registry", req.Metric), http.StatusBadRequest)
-	}
-	vector := !spec.scalar
-	if vector {
-		resp.Vectors = make([][]float64, n)
-	} else {
-		resp.Values = make([]float64, n)
-	}
-	keys := make([]string, n)
-	// missing is a request-index slice, appended in request order, so the
-	// scatter/gather loops below are deterministic regardless of cache
-	// state (pinned by TestEvaluateGatherOrderIndependent). Keep it a
-	// slice: a map here would reintroduce iteration-order nondeterminism.
-	var missing []int
+	keys := make([]string, len(req.Points))
 	for i, pt := range req.Points {
 		keys[i] = pointKey(req.Dataset, req.Metric, pt)
-		v, ok := s.cache.get(keys[i])
-		if !ok {
-			missing = append(missing, i)
-			continue
-		}
-		if vector {
-			resp.Vectors[i] = v.([]float64)
-		} else {
-			resp.Values[i] = v.(float64)
-		}
 	}
-	resp.CachedPoints = n - len(missing)
-
-	if len(missing) > 0 {
+	sweep := func(missing []int) ([][]float64, []float64, error) {
 		s.sweepExecs.Add(1)
 		pts := make([]core.SweepPoint, len(missing))
 		for r, i := range missing {
 			pts[r] = core.SweepPoint{Bonus: req.Points[i].Bonus, K: req.Points[i].K}
 		}
-		var vecs [][]float64
-		var vals []float64
-		var err error
 		if bonus, ok := batchableSweep(pts); ok {
 			// Single bonus: the sweep is one batch of queries, sharing one
 			// ranked pass with every other concurrent request on the same
 			// (dataset, bonus) when batching is on.
-			vecs, vals, err = s.batchSweep(ctx, e, req.Metric, bonus, pts)
-		} else {
-			vecs, vals, err = e.eval.Sweep(ctx, spec.kind, pts)
+			return s.batchSweep(ctx, e, spec, bonus, pts)
 		}
-		if err != nil {
-			// Nothing is cached on failure: rows reach the LRU only below,
-			// after the whole sweep (batched or not) succeeded, so a failed
-			// or canceled request cannot poison the per-point cache with
-			// partial results — and a failed BATCH leaves every member's
-			// keys cold, since each member caches only its own rows here.
-			return EvaluateResponse{}, pipelineErr(err, http.StatusBadRequest)
-		}
-		for r, i := range missing {
-			if vector {
-				resp.Vectors[i] = vecs[r]
-				s.cache.put(keys[i], vecs[r])
-			} else {
-				resp.Values[i] = vals[r]
-				s.cache.put(keys[i], vals[r])
-			}
-		}
+		return e.eval.Sweep(ctx, spec.kind, pts)
 	}
-	if vector {
-		resp.Norms = make([]float64, n)
+	resp := EvaluateResponse{Dataset: req.Dataset, Metric: req.Metric, FairNames: e.d.FairNames()}
+	var err error
+	if spec.scalar {
+		resp.Values, resp.CachedPoints, err = cachedRows(s, keys, func(missing []int) ([]float64, error) {
+			_, vals, err := sweep(missing)
+			return vals, err
+		})
+	} else {
+		resp.Vectors, resp.CachedPoints, err = cachedRows(s, keys, func(missing []int) ([][]float64, error) {
+			vecs, _, err := sweep(missing)
+			return vecs, err
+		})
+	}
+	if err != nil {
+		return EvaluateResponse{}, pipelineErr(err, http.StatusBadRequest)
+	}
+	if !spec.scalar {
+		resp.Norms = make([]float64, len(resp.Vectors))
 		for i, v := range resp.Vectors {
 			if spec.ddpNorm {
 				// Exposure rows are per-capita vectors; their norm is the
@@ -366,24 +369,36 @@ func (s *Server) evaluateSweep(ctx context.Context, e *Entry, req EvaluateReques
 	return resp, nil
 }
 
-// parseBonusParam parses the comma-separated ?bonus= vector.
-func parseBonusParam(raw string, dims int) ([]float64, error) {
+// parseBonusParam parses the comma-separated ?bonus= vector through the
+// dataset's bonus check.
+func parseBonusParam(raw string, e *Entry) ([]float64, error) {
 	parts := strings.Split(raw, ",")
-	if len(parts) != dims {
-		return nil, fmt.Errorf("bonus has %d dimensions, dataset has %d", len(parts), dims)
-	}
-	out := make([]float64, dims)
+	out := make([]float64, len(parts))
 	for j, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return nil, fmt.Errorf("bonus dimension %d: %v", j, err)
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return nil, fmt.Errorf("bonus dimension %d is %v, want finite and non-negative", j, v)
-		}
 		out[j] = v
 	}
-	return out, nil
+	return out, e.checkBonus(out)
+}
+
+// policyQuery parses the (k, bonus) policy of GET /v1/explain and
+// /v1/report: a fraction in (0,1] and one bonus value per fairness
+// attribute of the resolved dataset.
+func policyQuery(e *Entry, q url.Values) (bonus []float64, k float64, err error) {
+	if k, err = strconv.ParseFloat(q.Get("k"), 64); err != nil {
+		return nil, 0, fmt.Errorf("bad k %q: %v", q.Get("k"), err)
+	}
+	if err := rank.CheckFraction(k); err != nil {
+		return nil, 0, err
+	}
+	if q.Get("bonus") == "" {
+		return nil, 0, errors.New("missing bonus (comma-separated, one value per fairness attribute)")
+	}
+	bonus, err = parseBonusParam(q.Get("bonus"), e)
+	return bonus, k, err
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -392,20 +407,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	k, err := strconv.ParseFloat(q.Get("k"), 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad k %q: %v", q.Get("k"), err)
-		return
-	}
-	if err := rank.CheckFraction(k); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if q.Get("bonus") == "" {
-		writeError(w, http.StatusBadRequest, "missing bonus (comma-separated, one value per fairness attribute)")
-		return
-	}
-	bonus, err := parseBonusParam(q.Get("bonus"), e.d.NumFair())
+	bonus, k, err := policyQuery(e, q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -468,15 +470,9 @@ func (s *Server) handleCounterfactual(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := req.validate(e.d.NumFair()); err != nil {
+	if err := req.validate(e); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	for i, obj := range req.Objects {
-		if obj < 0 || obj >= e.d.N() {
-			writeError(w, http.StatusBadRequest, "object %d (index %d) outside [0,%d)", obj, i, e.d.N())
-			return
-		}
 	}
 	// Coalesce concurrent identical requests; the leader probes the
 	// per-object cache and ranks only when objects are missing.
@@ -491,57 +487,47 @@ func (s *Server) handleCounterfactual(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v.(CounterfactualResponse))
 }
 
-// runCounterfactual answers a counterfactual request from the per-object
-// cache plus one ranked batch over the missing objects. Like sweep rows,
-// each (dataset, bonus, k, object) answer is its own LRU entry, so any
-// earlier request that covered an object answers it regardless of how the
-// object lists were batched.
+// runCounterfactual answers a counterfactual request through cachedRows.
+// Like sweep rows, each (dataset, bonus, k, object) answer is its own LRU
+// entry, so any earlier request that covered an object answers it
+// regardless of how the object lists were batched.
 func (s *Server) runCounterfactual(ctx context.Context, e *Entry, req CounterfactualRequest) (CounterfactualResponse, error) {
 	if err := faultinject.Fire(ctx, faultinject.SiteCounterfactualStart); err != nil {
 		return CounterfactualResponse{}, err
 	}
-	resp := CounterfactualResponse{
-		Dataset:   req.Dataset,
-		K:         req.K,
-		FairNames: e.d.FairNames(),
-		Results:   make([]CounterfactualResult, len(req.Objects)),
-	}
 	keys := make([]string, len(req.Objects))
-	// Request-index slice in request order; see the note in runEvaluate.
-	// Pinned by TestCounterfactualGatherOrderIndependent.
-	var missing []int
 	for i, obj := range req.Objects {
 		keys[i] = req.objectKey(obj)
-		if v, ok := s.cache.get(keys[i]); ok {
-			resp.Results[i] = v.(CounterfactualResult)
-			continue
-		}
-		missing = append(missing, i)
 	}
-	resp.CachedObjects = len(req.Objects) - len(missing)
-
-	if len(missing) > 0 {
+	results, cached, err := cachedRows(s, keys, func(missing []int) ([]CounterfactualResult, error) {
 		s.cfExecs.Add(1)
 		objs := make([]int, len(missing))
 		for r, i := range missing {
 			objs[r] = req.Objects[i]
 		}
-		// The request is one counterfactual query of the shared pass.
+		// The missing objects are one counterfactual query of the shared pass.
 		answers, err := s.answer(ctx, e, req.Bonus, []core.BatchQuery{
 			{Kind: core.BatchCounterfactual, K: req.K, Objects: objs},
 		})
 		if err != nil {
-			// As with sweeps, per-object rows are cached only after the
-			// whole batch succeeded — cancellation leaves the cache clean.
-			return CounterfactualResponse{}, pipelineErr(err, http.StatusBadRequest)
+			return nil, err
 		}
-		for r, i := range missing {
-			res := toCounterfactualResult(answers[0].Counterfactuals[r])
-			resp.Results[i] = res
-			s.cache.put(keys[i], res)
+		rows := make([]CounterfactualResult, len(answers[0].Counterfactuals))
+		for r, cf := range answers[0].Counterfactuals {
+			rows[r] = toCounterfactualResult(cf)
 		}
+		return rows, answers[0].Err
+	})
+	if err != nil {
+		return CounterfactualResponse{}, pipelineErr(err, http.StatusBadRequest)
 	}
-	return resp, nil
+	return CounterfactualResponse{
+		Dataset:       req.Dataset,
+		K:             req.K,
+		FairNames:     e.d.FairNames(),
+		Results:       results,
+		CachedObjects: cached,
+	}, nil
 }
 
 // toCounterfactualResult shapes one engine counterfactual into the wire
@@ -567,129 +553,42 @@ func toCounterfactualResult(cf core.Counterfactual) CounterfactualResult {
 
 // handleReport serves GET /v1/report: the versioned audit bundle for a
 // bonus policy, rendered as JSON (default), CSV, or Markdown. The built
-// bundle is cached independently of the rendering format and concurrent
-// identical cold requests are coalesced, mirroring train/evaluate.
+// bundle goes through cachedFlight independently of the rendering format.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	e, ok := s.entryOr404(w, q.Get("dataset"))
 	if !ok {
 		return
 	}
-	k, err := strconv.ParseFloat(q.Get("k"), 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad k %q: %v", q.Get("k"), err)
-		return
-	}
-	if q.Get("bonus") == "" {
-		writeError(w, http.StatusBadRequest, "missing bonus (comma-separated, one value per fairness attribute)")
-		return
-	}
-	bonus, err := parseBonusParam(q.Get("bonus"), e.d.NumFair())
+	cfg, format, err := reportQuery(e, q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	margins := 0
-	if raw := q.Get("margins"); raw != "" {
-		if margins, err = strconv.Atoi(raw); err != nil {
-			writeError(w, http.StatusBadRequest, "bad margins %q: %v", raw, err)
-			return
+	ctx := r.Context()
+	v, _, err := s.cachedFlight(ctx, reportKey(cfg), func() (any, error) {
+		if err := faultinject.Fire(ctx, faultinject.SiteReportStart); err != nil {
+			return nil, err
 		}
-		if margins > MaxReportMargins {
-			writeError(w, http.StatusBadRequest, "margins %d exceeds the limit of %d", margins, MaxReportMargins)
-			return
+		s.reportExecs.Add(1)
+		// One rank-once BundleData pass yields both the bundle and the
+		// margin counterfactuals; the latter seed the per-object cache
+		// so /v1/counterfactual shares the work wherever keys coincide.
+		st, err := s.reportStats(ctx, e, cfg)
+		if err != nil {
+			// Build rejections are request mistakes (zero policy, FPR
+			// without outcomes), not server faults; cancellation passes
+			// through to the context mapping. Neither the bundle nor the
+			// margin seeds reach the cache on failure.
+			return nil, pipelineErr(err, http.StatusBadRequest)
 		}
-	}
-	if margins == 0 {
-		// BuildBundle maps 0 to the default; normalize before keying so an
-		// absent param and an explicit default share one cache entry.
-		margins = report.DefaultMargins
-	}
-	// FPR differences default to "whenever the dataset can answer them";
-	// fpr=1 demands them (a 400 on an outcome-less dataset), fpr=0 omits.
-	includeFPR := e.d.HasOutcomes()
-	if raw := q.Get("fpr"); raw != "" {
-		switch raw {
-		case "0":
-			includeFPR = false
-		case "1":
-			includeFPR = true
-		default:
-			writeError(w, http.StatusBadRequest, "bad fpr %q (want 0 or 1)", raw)
-			return
-		}
-	}
-	// The exposure section defaults to "whenever the dataset's fairness
-	// attributes are all binary"; exposure=1 demands it (a 400 on a
-	// continuous column, raised by the report-layer validation),
-	// exposure=0 omits.
-	binaryOK, _ := e.d.BinaryFairColumns()
-	includeExposure := binaryOK && e.d.NumFair() > 0
-	if raw := q.Get("exposure"); raw != "" {
-		switch raw {
-		case "0":
-			includeExposure = false
-		case "1":
-			includeExposure = true
-		default:
-			writeError(w, http.StatusBadRequest, "bad exposure %q (want 0 or 1)", raw)
-			return
-		}
-	}
-	format := q.Get("format")
-	if format == "" {
-		format = "json"
-	}
-	switch format {
-	case "json", "csv", "markdown", "md":
-	default:
-		writeError(w, http.StatusBadRequest, "unknown format %q (want json, csv or markdown)", format)
+		s.seedMarginCounterfactuals(e, cfg.Bonus, cfg.K, st.Margins)
+		return report.FromStats(e.eval, e.name, st), nil
+	})
+	if err != nil {
+		writeHTTPError(w, r, err)
 		return
 	}
-
-	key := reportKey(e.name, bonus, k, margins, includeFPR, includeExposure)
-	ctx := r.Context()
-	v, ok2 := s.cache.get(key)
-	if !ok2 {
-		v, _, err = s.flights.Do(ctx, key, func() (any, error) {
-			if v, ok := s.cache.get(key); ok {
-				return v, nil
-			}
-			if err := faultinject.Fire(ctx, faultinject.SiteReportStart); err != nil {
-				return nil, err
-			}
-			s.reportExecs.Add(1)
-			// One rank-once BundleData pass yields both the bundle and the
-			// margin counterfactuals; the latter seed the per-object cache
-			// so /v1/counterfactual shares the work wherever keys coincide.
-			rcfg := report.BundleConfig{
-				Dataset:         e.name,
-				Bonus:           bonus,
-				K:               k,
-				Margins:         margins,
-				IncludeFPR:      includeFPR,
-				IncludeExposure: includeExposure,
-			}
-			st, err := s.reportStats(ctx, e, rcfg)
-			if err != nil {
-				// Build rejections are request mistakes (bad fraction,
-				// zero policy, FPR without outcomes), not server faults;
-				// cancellation passes through to the context mapping. The
-				// bundle and the margin seeds reach the cache only on
-				// success, so an abandoned build caches nothing.
-				return nil, pipelineErr(err, http.StatusBadRequest)
-			}
-			b := report.FromStats(e.eval, e.name, st)
-			s.cache.put(key, b)
-			s.seedMarginCounterfactuals(e, bonus, k, st.Margins)
-			return b, nil
-		})
-		if err != nil {
-			writeHTTPError(w, r, err)
-			return
-		}
-	}
-	bundle := v.(*report.Bundle)
 	switch format {
 	case "json":
 		w.Header().Set("Content-Type", "application/json")
@@ -699,7 +598,57 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/markdown; charset=utf-8")
 	}
 	w.WriteHeader(http.StatusOK)
-	_ = bundle.Render(w, format) // status line already out
+	_ = v.(*report.Bundle).Render(w, format) // status line already out
+}
+
+// reportQuery parses the audit-bundle options of GET /v1/report after
+// the policy: ?margins= (0 or absent is the default window), ?fpr= and
+// ?exposure= (0/1; absent means "whenever the dataset can answer": fpr=1
+// on an outcome-less dataset and exposure=1 on a continuous attribute are
+// refused by the report layer), and ?format=.
+func reportQuery(e *Entry, q url.Values) (cfg report.BundleConfig, format string, err error) {
+	cfg = report.BundleConfig{Dataset: e.name, Margins: report.DefaultMargins}
+	if cfg.Bonus, cfg.K, err = policyQuery(e, q); err != nil {
+		return cfg, "", err
+	}
+	if raw := q.Get("margins"); raw != "" {
+		m, err := strconv.Atoi(raw)
+		if err != nil {
+			return cfg, "", fmt.Errorf("bad margins %q: %v", raw, err)
+		}
+		if m > MaxReportMargins {
+			return cfg, "", fmt.Errorf("margins %d exceeds the limit of %d", m, MaxReportMargins)
+		}
+		if m != 0 {
+			// 0 maps to the default before keying, so an absent param and
+			// an explicit default share one cache entry.
+			cfg.Margins = m
+		}
+	}
+	binaryOK, _ := e.d.BinaryFairColumns()
+	if cfg.IncludeFPR, err = switchParam(q, "fpr", e.d.HasOutcomes()); err != nil {
+		return cfg, "", err
+	}
+	if cfg.IncludeExposure, err = switchParam(q, "exposure", binaryOK && e.d.NumFair() > 0); err != nil {
+		return cfg, "", err
+	}
+	switch format = cmp.Or(q.Get("format"), "json"); format {
+	case "json", "csv", "markdown", "md":
+		return cfg, format, nil
+	}
+	return cfg, "", fmt.Errorf("unknown format %q (want json, csv or markdown)", format)
+}
+
+// switchParam reads a 0/1 query switch; def answers when it is absent.
+func switchParam(q url.Values, name string, def bool) (bool, error) {
+	switch raw := q.Get(name); raw {
+	case "":
+		return def, nil
+	case "0", "1":
+		return raw == "1", nil
+	default:
+		return false, fmt.Errorf("bad %s %q (want 0 or 1)", name, raw)
+	}
 }
 
 // seedMarginCounterfactuals publishes the boundary-window counterfactuals

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -48,6 +49,38 @@ type Entry struct {
 	// dataset.
 	batchFlushes    atomic.Int64
 	batchedRequests atomic.Int64
+
+	// maxBase is the largest |base score|, fairMax[j] the largest
+	// |attribute j| value and minFair the smallest non-zero |attribute|
+	// value (1 when every attribute is zero); checkBonus bounds every
+	// published score with them.
+	maxBase float64
+	fairMax []float64
+	minFair float64
+}
+
+// checkBonus is the one wire check on a bonus vector: one value per
+// fairness attribute, each finite and non-negative, and small enough
+// that nothing the service publishes overflows. reach bounds every
+// effective score; a cutoff, margin or score delta is the difference of
+// two, and a per-attribute delta divides one by an attribute value, so
+// 4·reach/minFair (a factor two of headroom for summation order) must
+// stay finite. Past that, answers carry ±Inf, which JSON cannot encode.
+func (e *Entry) checkBonus(bonus []float64) error {
+	if len(bonus) != e.d.NumFair() {
+		return fmt.Errorf("bonus has %d dimensions, dataset has %d", len(bonus), e.d.NumFair())
+	}
+	reach := e.maxBase
+	for j, b := range bonus {
+		if math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
+			return fmt.Errorf("bonus dimension %d is %v, want finite and non-negative", j, b)
+		}
+		reach += b * e.fairMax[j]
+	}
+	if math.IsInf(4*reach/e.minFair, 0) {
+		return fmt.Errorf("bonus overflows the effective scores of dataset %q", e.name)
+	}
+	return nil
 }
 
 // minLiveTrainers floors the live-trainer cap. The cap exists to stop a
@@ -150,16 +183,33 @@ func (r *Registry) Register(name string, d *dataset.Dataset, scorer rank.Scorer,
 	if _, ok := r.entries[name]; ok {
 		return fmt.Errorf("service: dataset %q already registered", name)
 	}
-	r.entries[name] = &Entry{
-		name:   name,
-		d:      d,
-		scorer: scorer,
-		pol:    pol,
-		eval:   core.NewEvaluator(d, scorer, pol),
-		proto:  core.NewTrainer(d, scorer),
-		pool:   make(chan *core.Trainer, r.poolSize),
-		live:   make(chan struct{}, liveTrainerCap(r.poolSize)),
+	e := &Entry{
+		name:    name,
+		d:       d,
+		scorer:  scorer,
+		pol:     pol,
+		eval:    core.NewEvaluator(d, scorer, pol),
+		proto:   core.NewTrainer(d, scorer),
+		pool:    make(chan *core.Trainer, r.poolSize),
+		live:    make(chan struct{}, liveTrainerCap(r.poolSize)),
+		fairMax: make([]float64, d.NumFair()),
+		minFair: math.Inf(1),
 	}
+	for _, v := range e.eval.BaseScores() {
+		e.maxBase = max(e.maxBase, math.Abs(v))
+	}
+	for j, col := range d.FairColumns() {
+		for _, v := range col {
+			if v = math.Abs(v); v != 0 {
+				e.fairMax[j] = max(e.fairMax[j], v)
+				e.minFair = min(e.minFair, v)
+			}
+		}
+	}
+	if math.IsInf(e.minFair, 1) {
+		e.minFair = 1
+	}
+	r.entries[name] = e
 	r.order = append(r.order, name)
 	return nil
 }

@@ -12,7 +12,8 @@ import (
 	"fairrank/internal/rank"
 )
 
-// DefaultCacheSize is the default capacity of the train-result LRU.
+// DefaultCacheSize is the default capacity of the result LRU (train
+// responses, sweep rows, counterfactual rows and audit bundles).
 const DefaultCacheSize = 1024
 
 // Timeouts carries the per-endpoint request deadlines. A zero field means
@@ -30,7 +31,7 @@ type Timeouts struct {
 // Config parameterizes a Server. The zero value is usable: defaults are
 // applied in New.
 type Config struct {
-	// CacheSize is the capacity of the train-result LRU; 0 means
+	// CacheSize is the capacity of the result LRU, in entries; 0 means
 	// DefaultCacheSize, negative disables caching.
 	CacheSize int
 	// TrainerPoolSize caps the idle trainers retained per dataset; 0 means
@@ -84,8 +85,8 @@ type Server struct {
 	// but the process did not die for it.
 	panics atomic.Int64
 
-	// flights coalesces concurrent identical cold requests (train and
-	// evaluate) into one pipeline execution.
+	// flights coalesces concurrent identical cold requests (train,
+	// evaluate, counterfactual and report) into one pipeline execution.
 	flights flightGroup
 
 	// batch coalesces concurrent DISTINCT evaluate/counterfactual/report

@@ -368,6 +368,8 @@ func TestRequestValidation(t *testing.T) {
 		{"train negative refine", "/v1/train", `{"dataset":"school","k":0.05,"refine_steps":-1}`, 400, "refine_steps"},
 		{"train unknown field", "/v1/train", `{"dataset":"school","k":0.05,"granularty":0.5}`, 400, "granularty"},
 		{"train trailing garbage", "/v1/train", `{"dataset":"school","k":0.05}{"x":1}`, 400, "trailing"},
+		{"train trailing brace", "/v1/train", `{"dataset":"school","k":0.1}}`, 400, "trailing"},
+		{"evaluate trailing brackets", "/v1/evaluate", `{"dataset":"school","metric":"disparity","points":[{"k":0.05}]}]]]`, 400, "trailing"},
 		{"train not json", "/v1/train", `hello`, 400, ""},
 		{"train fpr without outcomes", "/v1/train", `{"dataset":"school","k":0.05,"objective":"fpr"}`, 400, "outcomes"},
 		{"evaluate bad metric", "/v1/evaluate", `{"dataset":"school","metric":"entropy","points":[{"k":0.05}]}`, 400, "metric"},
