@@ -99,6 +99,32 @@ func benchTrain(b *testing.B, n int) {
 func BenchmarkDCATrain20k(b *testing.B) { benchTrain(b, 20_000) }
 func BenchmarkDCATrain80k(b *testing.B) { benchTrain(b, 80_000) }
 
+// One long-lived Trainer on the default school cohort, a fresh seed per
+// op: the steady state of a pooled trainer serving cold trains. The warm
+// train before ResetTimer pays the one-time lazy set-up (workspace and
+// sampler buffers), so B/op and allocs/op measure what each further
+// train costs.
+func BenchmarkTrainerTrain80k(b *testing.B) {
+	d, err := fairrank.GenerateSchool(fairrank.DefaultSchoolConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := fairrank.NewTrainer(d, fairrank.WeightedSum{Weights: fairrank.SchoolScoreWeights()})
+	obj := fairrank.DisparityObjective(0.05)
+	if _, err := tr.Train(obj, fairrank.DefaultOptions()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts := fairrank.DefaultOptions()
+		opts.Seed = int64(i + 2)
+		if _, err := tr.Train(obj, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Ensemble training cost (the engine's concurrent evaluation layer: one
 // workspace per worker goroutine, shared base scores).
 

@@ -38,9 +38,9 @@
 // concurrent use. Results are bit-identical to a naive single-threaded
 // implementation — aggregation is always done in deterministic order.
 //
-// Hold a Trainer to reuse the workspace across repeated runs on the same
-// dataset (the interactive what-if loop); one-shot calls can keep using
-// Train/TrainCore/TrainFull.
+// Hold a Trainer to reuse the workspace and sampler across repeated runs
+// on the same dataset (the interactive what-if loop); one-shot calls can
+// keep using Train/TrainCore/TrainFull.
 //
 // # Quick start
 //
@@ -136,9 +136,10 @@ type Evaluator = core.Evaluator
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // Trainer runs DCA repeatedly over one dataset and ranking function,
-// reusing the engine workspace and the precomputed base scores across
-// runs — the cheapest way to drive interactive what-if iteration. Not
-// safe for concurrent use; create one per goroutine.
+// reusing the engine workspace, the sampler (reseeded per run) and the
+// precomputed base scores across runs — the cheapest way to drive
+// interactive what-if iteration. Not safe for concurrent use; create one
+// per goroutine.
 type Trainer = core.Trainer
 
 // NewTrainer returns a Trainer for the dataset under the given ranking

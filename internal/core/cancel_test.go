@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fairrank/internal/engine"
 	"fairrank/internal/rank"
 	"fairrank/internal/synth"
 )
@@ -14,6 +15,9 @@ import (
 // canceling mid-descent stops the run with context.Canceled, and the same
 // trainer instance afterwards produces a result bit-identical to a fresh
 // trainer's — an abandoned run must not leak state into the next one.
+// The trainer keeps its sampler across runs, so the cancel points cover
+// the ladder descent (step 30) and refinement (step 250), where the
+// sampler is part-way through its epoch permutation.
 func TestTrainCtxCancelMidTrain(t *testing.T) {
 	cfg := synth.DefaultSchoolConfig()
 	cfg.N = 2000
@@ -24,33 +28,39 @@ func TestTrainCtxCancelMidTrain(t *testing.T) {
 	}
 	scorer := rank.WeightedSum{Weights: synth.SchoolScoreWeights()}
 	obj := DisparityObjective(0.05)
-
-	tr := NewTrainer(d, scorer)
-	ctx, cancel := context.WithCancel(context.Background())
-	opts := DefaultOptions()
-	steps := 0
-	opts.Trace = func(TraceStep) {
-		steps++
-		if steps == 30 {
-			cancel()
-		}
-	}
-	if _, err := tr.TrainCtx(ctx, obj, opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TrainCtx error = %v, want context.Canceled", err)
-	}
-
-	// Same trainer, fresh run: must match a brand-new trainer exactly.
-	got, err := tr.Train(obj, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := NewTrainer(d, scorer).Train(obj, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Bonus, want.Bonus) || got.Steps != want.Steps {
-		t.Errorf("post-cancel train diverged: got %v (%d steps), want %v (%d steps)",
-			got.Bonus, got.Steps, want.Bonus, want.Steps)
+
+	for _, at := range []int{30, 250} {
+		tr := NewTrainer(d, scorer)
+		ctx, cancel := context.WithCancel(context.Background())
+		opts := DefaultOptions()
+		opts.Seed = 99 // a different stream than the follow-up run
+		steps := 0
+		opts.Trace = func(TraceStep) {
+			steps++
+			if steps == at {
+				cancel()
+			}
+		}
+		if _, err := tr.TrainCtx(ctx, obj, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at step %d: TrainCtx error = %v, want context.Canceled", at, err)
+		}
+		if steps < at || steps > at+engine.CancelCheckInterval {
+			t.Fatalf("cancel at step %d: run stopped after %d steps", at, steps)
+		}
+
+		// Same trainer, fresh run: must match a brand-new trainer exactly.
+		got, err := tr.Train(obj, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Bonus, want.Bonus) || !reflect.DeepEqual(got.Raw, want.Raw) || got.Steps != want.Steps {
+			t.Errorf("cancel at step %d: post-cancel train diverged: got %v (%d steps), want %v (%d steps)",
+				at, got.Raw, got.Steps, want.Raw, want.Steps)
+		}
 	}
 }
 

@@ -158,18 +158,21 @@ func Scale(b []float64, w, granularity float64) []float64 {
 }
 
 // Trainer runs DCA repeatedly over one dataset and ranking function. It
-// precomputes the base scores and owns an engine.Workspace, so repeated
-// runs — the interactive what-if iteration of the paper, ensemble members,
-// parameter sweeps — share buffers and allocate (almost) nothing per
-// descent step.
+// precomputes the base scores and owns an engine.Workspace and a
+// sample.Sampler, so repeated runs — the interactive what-if iteration of
+// the paper, ensemble members, parameter sweeps, a service's pooled cold
+// trains — share buffers and allocate (almost) nothing per descent step or
+// per run. Each run reseeds the sampler with its Options.Seed, so a run's
+// result never depends on the runs before it.
 //
-// A Trainer is not safe for concurrent use: it owns a single workspace.
-// Create one per goroutine (Ensemble does exactly that).
+// A Trainer is not safe for concurrent use: it owns a single workspace and
+// sampler. Create one per goroutine (Ensemble does exactly that).
 type Trainer struct {
 	d      *dataset.Dataset
 	scorer rank.Scorer
 	base   []float64
 	ws     *engine.Workspace
+	smp    *sample.Sampler // built by the first run; see sampler
 }
 
 // NewTrainer returns a trainer for the dataset under the given ranking
@@ -184,20 +187,23 @@ func NewTrainer(d *dataset.Dataset, scorer rank.Scorer) *Trainer {
 }
 
 // Clone returns a new Trainer over the same dataset and ranking function
-// that shares the precomputed base scores but owns a fresh workspace, so
-// the clone can train on another goroutine. A per-dataset trainer pool
-// (the fairrankd service) clones its prototype instead of paying the
-// O(n) base-score computation per worker.
+// that shares the precomputed base scores but owns a fresh workspace and
+// no sampler yet (its first run builds its own), so the clone can train on
+// another goroutine and pooled trainers never share a sampler. A
+// per-dataset trainer pool (the fairrankd service) clones its prototype
+// instead of paying the O(n) base-score computation per worker.
 func (t *Trainer) Clone() *Trainer {
 	return &Trainer{d: t.d, scorer: t.scorer, base: t.base, ws: engine.NewWorkspace(t.d.NumFair())}
 }
 
 // Reset repoints the trainer at a new dataset and ranking function: base
-// scores are recomputed, and the workspace is kept when the fairness
+// scores are recomputed, the workspace is kept when the fairness
 // dimensionality matches (its buffers grow on demand) and reallocated
-// otherwise. It serves interactive what-if loops where the data itself
-// changes — a revised cohort, an edited rubric — letting the caller keep
-// one long-lived Trainer instead of rebuilding scratch state per revision.
+// otherwise, and the sampler is kept only while the population size
+// matches (the next run rebuilds it otherwise). It serves interactive
+// what-if loops where the data itself changes — a revised cohort, an
+// edited rubric — letting the caller keep one long-lived Trainer instead
+// of rebuilding scratch state per revision.
 func (t *Trainer) Reset(d *dataset.Dataset, scorer rank.Scorer) {
 	t.d = d
 	t.scorer = scorer
@@ -234,7 +240,7 @@ func (t *Trainer) TrainCtx(ctx context.Context, obj Objective, opts Options) (Re
 	if err != nil {
 		return Result{}, err
 	}
-	smp := sample.New(t.d.N(), opts.Seed)
+	smp := t.sampler(opts.Seed)
 	b := initBonus(t.d, smp, opts)
 	loop := t.loop(ctx, bound, opts)
 
@@ -296,8 +302,7 @@ func (t *Trainer) TrainFullCtx(ctx context.Context, obj Objective, opts Options)
 	if err != nil {
 		return Result{}, err
 	}
-	smp := sample.New(t.d.N(), opts.Seed)
-	b := initBonus(t.d, smp, opts)
+	b := initBonus(t.d, t.sampler(opts.Seed), opts)
 
 	all := t.ws.SampleBuf(t.d.N())
 	for i := range all {
@@ -319,6 +324,20 @@ func (t *Trainer) TrainFullCtx(ctx context.Context, obj Objective, opts Options)
 	}
 	clampBonus(res.Bonus, opts.MaxBonus)
 	return res, nil
+}
+
+// sampler returns the trainer's sampler reseeded with seed, bit-identical
+// to sample.New(t.d.N(), seed). It builds one when the trainer has none
+// yet or Reset changed the population size; otherwise the kept generator,
+// epoch buffer and displacement table are reused, so a cold run allocates
+// nothing that grows with n.
+func (t *Trainer) sampler(seed int64) *sample.Sampler {
+	if t.smp == nil || t.smp.N() != t.d.N() {
+		t.smp = sample.New(t.d.N(), seed)
+	} else {
+		t.smp.Reset(seed)
+	}
+	return t.smp
 }
 
 func (t *Trainer) loop(ctx context.Context, bound engine.Objective, opts Options) *engine.Loop {

@@ -85,34 +85,57 @@ func TestTrainerCloneBitIdentical(t *testing.T) {
 	}
 }
 
+// TestTrainerReset: a trainer repointed at another cohort trains exactly
+// like a fresh trainer on it. The population-size cases pin that the
+// trainer's kept sampler follows the new n: one kept over the old
+// population would draw indices out of range (smaller) or miss part of
+// the cohort (larger).
 func TestTrainerReset(t *testing.T) {
-	a := hooksDataset(t, 1)
-	b := hooksDataset(t, 2)
 	scorer := rank.WeightedSum{Weights: synth.SchoolScoreWeights()}
 	opts := DefaultOptions()
 	opts.SampleSize = 200
 	obj := DisparityObjective(0.05)
-
-	tr := NewTrainer(a, scorer)
-	if _, err := tr.Train(obj, opts); err != nil {
-		t.Fatal(err)
-	}
-	tr.Reset(b, scorer)
-	got, err := tr.Train(obj, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := NewTrainer(b, scorer).Train(obj, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range want.Raw {
-		if got.Raw[j] != want.Raw[j] {
-			t.Fatalf("reset trainer diverged at dimension %d: %v != %v", j, got.Raw[j], want.Raw[j])
+	sized := func(n int, seed int64) *dataset.Dataset {
+		cfg := synth.DefaultSchoolConfig()
+		cfg.N = n
+		cfg.Seed = seed
+		d, err := synth.GenerateSchool(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return d
 	}
-	if tr.Dataset() != b {
-		t.Error("Reset did not repoint the dataset")
+	for _, tc := range []struct {
+		name string
+		b    *dataset.Dataset
+	}{
+		{"same population size", hooksDataset(t, 2)},
+		{"smaller population", sized(1200, 4)},
+		{"larger population", sized(4500, 5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := NewTrainer(hooksDataset(t, 1), scorer)
+			if _, err := tr.Train(obj, opts); err != nil {
+				t.Fatal(err)
+			}
+			tr.Reset(tc.b, scorer)
+			got, err := tr.Train(obj, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewTrainer(tc.b, scorer).Train(obj, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range want.Raw {
+				if got.Raw[j] != want.Raw[j] {
+					t.Fatalf("reset trainer diverged at dimension %d: %v != %v", j, got.Raw[j], want.Raw[j])
+				}
+			}
+			if tr.Dataset() != tc.b {
+				t.Error("Reset did not repoint the dataset")
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -63,19 +64,6 @@ func TestUniformPanicsWhenOversampling(t *testing.T) {
 		}
 	}()
 	New(5, 1).Uniform(6)
-}
-
-func TestWithReplacement(t *testing.T) {
-	s := New(3, 2)
-	idx := s.WithReplacement(1000)
-	if len(idx) != 1000 {
-		t.Fatalf("got %d indices", len(idx))
-	}
-	for _, i := range idx {
-		if i < 0 || i >= 3 {
-			t.Fatalf("index %d out of range", i)
-		}
-	}
 }
 
 func TestNextCoversEpoch(t *testing.T) {
@@ -146,6 +134,154 @@ func TestNextPanicsWhenOversampling(t *testing.T) {
 	New(2, 1).Next(3)
 }
 
+// denseRef is the sampler as it was before the displacement table was
+// sized to the draw: two population-sized arrays (value and generation
+// stamp) for the partial Fisher-Yates shuffle, a fresh rand.Perm per
+// epoch, and a new generator per seed. It is kept here as the reference
+// the table-backed Sampler must reproduce draw for draw.
+type denseRef struct {
+	n       int
+	rng     *rand.Rand
+	perm    []int
+	pos     int
+	dispVal []int
+	dispGen []uint64
+	gen     uint64
+}
+
+func newDenseRef(n int, seed int64) *denseRef {
+	return &denseRef{n: n, rng: rand.New(rand.NewSource(seed)), dispVal: make([]int, n), dispGen: make([]uint64, n)}
+}
+
+func (s *denseRef) uniformInto(dst []int) []int {
+	s.gen++
+	for i := range dst {
+		j := i + s.rng.Intn(s.n-i)
+		vj := j
+		if s.dispGen[j] == s.gen {
+			vj = s.dispVal[j]
+		}
+		vi := i
+		if s.dispGen[i] == s.gen {
+			vi = s.dispVal[i]
+		}
+		dst[i] = vj
+		s.dispVal[j], s.dispGen[j] = vi, s.gen
+		s.dispVal[i], s.dispGen[i] = vj, s.gen
+	}
+	return dst
+}
+
+func (s *denseRef) next(k int) []int {
+	if s.perm == nil {
+		s.perm = s.rng.Perm(s.n)
+	}
+	if s.pos+k > s.n {
+		s.rng.Shuffle(s.n, func(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] })
+		s.pos = 0
+	}
+	out := s.perm[s.pos : s.pos+k]
+	s.pos += k
+	return out
+}
+
+// drawPlan is a sequence of draw sizes over a population of n that
+// includes k = 1, k = n and a run of growing k (each growth past the
+// table's capacity reallocates it mid-sequence).
+func drawPlan(rng *rand.Rand, n int) []int {
+	plan := []int{1, n, 1}
+	for k := 1; k <= n; k = 2*k + 1 {
+		plan = append(plan, k)
+	}
+	for i := 0; i < 6; i++ {
+		plan = append(plan, 1+rng.Intn(n))
+	}
+	return append(plan, n)
+}
+
+// TestUniformIntoMatchesDenseReference: the draw-sized table reproduces
+// the dense-array algorithm index for index, over random populations and
+// draw sequences that cover k = 1, k = n and a table that grows between
+// calls, interleaved with epoch samples across reshuffles and raw Rand
+// draws so any divergence in the consumed stream shows up downstream.
+func TestUniformIntoMatchesDenseReference(t *testing.T) {
+	meta := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + meta.Intn(300)
+		seed := meta.Int63()
+		got, want := New(n, seed), newDenseRef(n, seed)
+		for step, k := range drawPlan(meta, n) {
+			g := got.UniformInto(make([]int, k))
+			w := want.uniformInto(make([]int, k))
+			if !slices.Equal(g, w) {
+				t.Fatalf("n=%d seed=%d draw %d (k=%d):\n got %v\nwant %v", n, seed, step, k, g, w)
+			}
+			e := 1 + meta.Intn(n)
+			if g, w := got.Next(e), want.next(e); !slices.Equal(g, w) {
+				t.Fatalf("n=%d seed=%d epoch sample %d (k=%d):\n got %v\nwant %v", n, seed, step, e, g, w)
+			}
+			if g, w := got.Rand().Int63(), want.rng.Int63(); g != w {
+				t.Fatalf("n=%d seed=%d after draw %d: Rand diverged (%d vs %d)", n, seed, step, g, w)
+			}
+		}
+	}
+}
+
+// TestResetMatchesNew: a sampler dirtied by draws, a mid-epoch position
+// and a grown table, then Reset, produces exactly what a brand-new sampler
+// with that seed does — Rand values, uniform draws, and epoch samples
+// across several reshuffles.
+func TestResetMatchesNew(t *testing.T) {
+	meta := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + meta.Intn(400)
+		s := New(n, meta.Int63())
+		s.UniformInto(make([]int, n))
+		s.Next(1 + meta.Intn(n)) // leave the epoch mid-way
+		s.UniformInto(make([]int, 1+meta.Intn(n)))
+
+		seed := meta.Int63()
+		s.Reset(seed)
+		fresh := New(n, seed)
+		if g, w := s.Rand().Float64(), fresh.Rand().Float64(); g != w {
+			t.Fatalf("n=%d: Rand after Reset = %v, New gives %v", n, g, w)
+		}
+		for step := 0; step < 12; step++ {
+			k := 1 + meta.Intn(n)
+			if g, w := s.UniformInto(make([]int, k)), fresh.UniformInto(make([]int, k)); !slices.Equal(g, w) {
+				t.Fatalf("n=%d step %d: UniformInto after Reset diverged:\n got %v\nwant %v", n, step, g, w)
+			}
+			e := 1 + meta.Intn(n)
+			if g, w := s.Next(e), fresh.Next(e); !slices.Equal(g, w) {
+				t.Fatalf("n=%d step %d: Next(%d) after Reset diverged:\n got %v\nwant %v", n, step, e, g, w)
+			}
+		}
+	}
+}
+
+// TestSteadyStateDrawsAllocateNothing: once the table has grown to the
+// draw and the epoch buffer exists, Reset, UniformInto and Next allocate
+// nothing — the sampler a Trainer keeps costs no garbage per run.
+func TestSteadyStateDrawsAllocateNothing(t *testing.T) {
+	s := New(5000, 1)
+	dst := make([]int, 500)
+	s.UniformInto(dst)
+	s.Next(500)
+	seed := int64(1)
+	allocs := testing.AllocsPerRun(20, func() {
+		seed++
+		s.Reset(seed)
+		s.UniformInto(dst)
+		s.UniformInto(dst[:100])
+		for i := 0; i < 12; i++ { // crosses a reshuffle
+			s.Next(500)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Reset+draws allocate %v objects, want 0", allocs)
+	}
+}
+
 // TestUniformIntoGenerationWrap forces the generation stamp to wrap and
 // checks that stale displacement entries from before the wrap cannot
 // collide with fresh ones. Before the wrap was handled, the counter
@@ -162,13 +298,18 @@ func TestUniformIntoGenerationWrap(t *testing.T) {
 	// One draw to allocate the displacement table.
 	s.UniformInto(dst)
 	ref.UniformInto(refDst)
-	// Poison every slot with exactly the stamp the counter hands out right
-	// after wrapping (1), all displacing to index 0: if the wrap does not
-	// invalidate the table, every lookup resolves to the stale 0 and the
-	// draw collapses into duplicates.
-	for i := range s.dispGen {
-		s.dispGen[i] = 1
-		s.dispVal[i] = 0
+	// Poison the table with an entry for every position, all stamped
+	// with exactly the stamp the counter hands out right after wrapping
+	// (1) and all displacing to index 0: if the wrap does not invalidate
+	// the table, every lookup resolves to the stale 0 and the draw
+	// collapses into duplicates.
+	for h := range s.slots {
+		s.slots[h].gen = 0
+	}
+	s.gen = 1
+	for pos := 0; pos < n; pos++ {
+		h, _ := s.lookup(pos)
+		s.slots[h] = slot{key: pos, val: 0, gen: 1}
 	}
 	// Jump the counter to the edge: the next draw wraps to 0 and restarts
 	// at 1 — colliding with the poisoned stamps unless the wrap path
